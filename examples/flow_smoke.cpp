@@ -25,7 +25,7 @@
 //                      every active flow (the correctness oracle; results
 //                      are bit-identical, only the visit counters differ)
 //   --timeline FILE    sample the platform's time-resolved series during the
-//                      primary run and write them as CSV (DESIGN.md §10);
+//                      primary run and write them as CSV (DESIGN.md §9);
 //                      feeds the EXPERIMENTS.md link-utilization table
 //   --timeline-interval S  sampling interval in sim seconds (default 0.1)
 //   --quiet            suppress the metrics snapshot (timing summary only)

@@ -101,7 +101,7 @@ class Launcher {
   /// (and the GIS server, if it lived there). Called when a host restarts.
   void markHostUp(const std::string& hostname);
 
-  /// Register the middleware's state capture (DESIGN.md §11): the GIS
+  /// Register the middleware's state capture (DESIGN.md §10): the GIS
   /// directory's canonical LDIF dump under "grid.gis".
   void registerStateCapture(obs::StateCaptureRegistry& reg);
 

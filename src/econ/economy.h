@@ -105,15 +105,15 @@ class GridEconomy {
   Broker& broker() { return broker_; }
   const gis::Directory& directory() const { return gis_; }
 
-  /// Time-resolved probes (DESIGN.md §10): econ.active_jobs,
+  /// Time-resolved probes (DESIGN.md §9): econ.active_jobs,
   /// econ.submitted_per_s / econ.completed_per_s, per-cluster queue depth /
   /// backlog / running counts, and the broker's (GIS-stale) per-cluster
   /// backlog view — the gap between econ.queue.backlog_s.<c> and
   /// econ.broker.view_backlog_s.<c> is the staleness the MDS-style refresh
-  /// interval buys. Everything here is process-lane state.
+  /// interval buys.
   void registerTelemetry(obs::TelemetrySampler& sampler);
 
-  /// State capture (DESIGN.md §11): per-cluster queue/pool occupancy and
+  /// State capture (DESIGN.md §10): per-cluster queue/pool occupancy and
   /// aliveness, every in-flight job's phase, and the workload generator
   /// cursor, registered under "econ". Read-only at capture time.
   void registerStateCapture(obs::StateCaptureRegistry& reg);

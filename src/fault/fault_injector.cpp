@@ -23,7 +23,7 @@ bool isHostKind(FaultKind k) {
 }
 
 // Deliberate, environment-gated bug for the explorer's mutation check
-// (DESIGN.md §11): with MG_MC_MUTATION=1, a restart that follows its crash by
+// (DESIGN.md §10): with MG_MC_MUTATION=1, a restart that follows its crash by
 // less than 2 virtual seconds "forgets" to close the downtime interval, so the
 // availability report claims the host is still down while the platform says
 // it is alive. The model checker must find a schedule exposing this; it must

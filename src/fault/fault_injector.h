@@ -67,7 +67,7 @@ class FaultInjector {
   /// Render report() as an aligned text table.
   std::string renderReport(double elapsed_seconds = 0) const;
 
-  /// State capture (DESIGN.md §11): availability bookkeeping (per-host
+  /// State capture (DESIGN.md §10): availability bookkeeping (per-host
   /// crash counts and open downtime intervals) and the live partition cuts,
   /// registered under "fault". Two schedules that leave different fault
   /// bookkeeping behind must never collapse to one digest.

@@ -1,5 +1,5 @@
 // Exhaustive fault-schedule exploration — model checking, lite
-// (DESIGN.md §11).
+// (DESIGN.md §10).
 //
 // Given a scenario factory and a set of *candidate* faults, each with a
 // menu of injection times, the explorer enumerates every schedule (one time

@@ -1,5 +1,5 @@
 // The invariant surface the explorer checks after every schedule
-// (DESIGN.md §11). Each invariant is a property that must hold at the end
+// (DESIGN.md §10). Each invariant is a property that must hold at the end
 // of ANY fault schedule composed from valid events — a violation is a bug
 // in the simulator or middleware, not a property of the schedule:
 //

@@ -1,4 +1,4 @@
-// Model-checking scenarios (DESIGN.md §11).
+// Model-checking scenarios (DESIGN.md §10).
 //
 // A ScenarioRun is one fully-armed simulation instance: a MicroGridPlatform
 // with a workload submitted (but not yet driven) and a FaultInjector armed

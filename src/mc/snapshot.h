@@ -1,4 +1,4 @@
-// Snapshot/restore by deterministic replay (DESIGN.md §11).
+// Snapshot/restore by deterministic replay (DESIGN.md §10).
 //
 // Simulated processes are OS threads, so the kernel cannot byte-copy their
 // stacks, and fork() is off the table for a multi-threaded simulator. A

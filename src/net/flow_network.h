@@ -7,10 +7,10 @@
 // simulators use). Kernel events exist only at flow *state changes* — start,
 // drain, completion, fault — never per packet per hop, which is what lets
 // the fluid model scale orders of magnitude past the packet simulator
-// (DESIGN.md §8, the paper's "does not scale up to large simulations"
+// (DESIGN.md §7, the paper's "does not scale up to large simulations"
 // bottleneck).
 //
-// Recomputation is *exact-incremental* (DESIGN.md §8 "Incremental
+// Recomputation is *exact-incremental* (DESIGN.md §7 "Incremental
 // sharing"): a link→flows reverse index identifies the connected component
 // of the bipartite flow–link contention graph containing a changed flow or
 // link, and only that component is re-shared. Max-min shares are
@@ -118,7 +118,7 @@ class FlowEngine {
   /// capacity (an uncontended transfer would never finish).
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t payload_bytes) const;
 
-  /// Fault hooks (the owning model calls these from NetworkModel's barrier
+  /// Fault hooks (the owning model calls these from NetworkModel's fault
   /// hooks, after the topology flip).
   void abortFlowsOnLink(LinkId link, const std::string& reason);
   void abortFlowsAtNode(NodeId node, const std::string& reason);
@@ -129,7 +129,7 @@ class FlowEngine {
   /// the way down) and existing routes never change mid-flight.
   void onLinkChanged(LinkId link);
 
-  /// Time-resolved probes (DESIGN.md §10): net.flow.active (level),
+  /// Time-resolved probes (DESIGN.md §9): net.flow.active (level),
   /// net.flow.completed_per_s / bytes_per_s (rates), and one
   /// net.flow.link_util.<name> utilization rate per topology link (fraction
   /// of kernel time the link carried >= 1 flow, from the busy-time accrual).
@@ -153,7 +153,7 @@ class FlowEngine {
 
   /// Fold every active flow's dynamic state (remaining bits, rate, stall
   /// flag, integration stamp) into `w` in ascending FlowId order
-  /// (DESIGN.md §11). Read-only.
+  /// (DESIGN.md §10). Read-only.
   void saveState(obs::StateWriter& w) const;
 
  private:

@@ -236,7 +236,7 @@ class TcpStack {
   std::size_t openConnections() const { return connections_.size(); }
   std::size_t openListeners() const { return listeners_.size(); }
 
-  /// Fold the endpoint table into `w` (DESIGN.md §11): connection keys with
+  /// Fold the endpoint table into `w` (DESIGN.md §10): connection keys with
   /// their transport-machine state (seq/ack/window/cwnd, buffered bytes,
   /// FIN flags, RTO estimate) plus the open listener ports. Read-only.
   void saveState(obs::StateWriter& w) const;

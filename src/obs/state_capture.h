@@ -1,5 +1,5 @@
 // Canonical state capture for snapshot/restore and the fault-schedule
-// explorer (DESIGN.md §11).
+// explorer (DESIGN.md §10).
 //
 // A StateWriter folds a layer's observable state into a single 64-bit
 // digest (streaming FNV-1a over a canonical byte encoding). Layers expose

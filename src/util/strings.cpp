@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 
 namespace mg::util {
 
@@ -12,6 +13,28 @@ std::string_view trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+std::optional<double> parseDouble(std::string_view s) {
+  const std::string str(s);
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(str, &pos);
+    if (trim(std::string_view(str).substr(pos)).empty()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+std::optional<std::int64_t> parseInt(std::string_view s) {
+  const std::string str(s);
+  try {
+    std::size_t pos = 0;
+    const long long v = std::stoll(str, &pos);
+    if (trim(std::string_view(str).substr(pos)).empty()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> split(std::string_view s, char delim) {

@@ -1,6 +1,8 @@
 // Small string helpers used throughout the MicroGrid code base.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +11,11 @@ namespace mg::util {
 
 /// Remove leading and trailing whitespace.
 std::string_view trim(std::string_view s);
+
+/// Parse the whole of `s` as a number (surrounding whitespace allowed);
+/// nullopt when it is malformed, out of range, or has trailing text.
+std::optional<double> parseDouble(std::string_view s);
+std::optional<std::int64_t> parseInt(std::string_view s);
 
 /// Split on a delimiter character. Empty fields are preserved:
 /// split("a,,b", ',') -> {"a", "", "b"}. split("", ',') -> {""}.

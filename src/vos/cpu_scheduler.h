@@ -91,14 +91,12 @@ class CpuScheduler {
   const std::vector<double>& quantaLog() const { return quanta_log_; }
   void clearQuantaLog() { quanta_log_.clear(); }
 
-  /// Time-resolved probes (DESIGN.md §10): vos.cpu.util.<label> — fraction
+  /// Time-resolved probes (DESIGN.md §9): vos.cpu.util.<label> — fraction
   /// of wall time this scheduler's physical CPU spent occupied by quanta —
-  /// and vos.runq.<label>, live tasks with pending demand. All state is
-  /// process-lane-owned; probe reads happen at sampler ticks/barriers where
-  /// lane 0 is quiescent.
+  /// and vos.runq.<label>, live tasks with pending demand.
   void registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label);
 
-  /// Fold the scheduler's dynamic state into `w` (DESIGN.md §11): the task
+  /// Fold the scheduler's dynamic state into `w` (DESIGN.md §10): the task
   /// table in slot order (name, fraction, consumed CPU, pending demand,
   /// liveness), the round-robin cursor, the jitter RNG stream, and the
   /// busy-time accrual. Read-only.

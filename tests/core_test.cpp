@@ -264,6 +264,20 @@ TEST(MicroGridPlatform, RateFollowsConfig) {
   EXPECT_DOUBLE_EQ(po.rate(), 0.04);
 }
 
+TEST(MicroGridPlatform, NonFiniteRateIsAConfigError) {
+  // A NaN slowdown slips past `<= 0` comparisons; the rate check must catch
+  // it before any NaN reaches a kernel duration.
+  auto cfg = topologies::alphaCluster();
+  for (double slowdown : {std::nan(""), 0.0, -1.0, HUGE_VAL}) {
+    MicroGridOptions opts;
+    opts.slowdown = slowdown;
+    EXPECT_THROW((MicroGridPlatform{cfg, opts}), mg::ConfigError) << slowdown;
+  }
+  MicroGridOptions inf_rate;
+  inf_rate.rate_override = HUGE_VAL;
+  EXPECT_THROW((MicroGridPlatform{cfg, inf_rate}), mg::ConfigError);
+}
+
 TEST(MicroGridPlatform, ComputeMatchesVirtualSpeed) {
   auto cfg = topologies::alphaCluster();
   MicroGridPlatform p(cfg);

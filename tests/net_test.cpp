@@ -2,6 +2,7 @@
 // simulator, TCP and UDP transports, and the flow-level reference model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -365,6 +366,17 @@ TEST(PacketNetwork, TimeScaleStretchesKernelTime) {
   const double t1 = static_cast<double>(endTime(1.0));
   const double t4 = static_cast<double>(endTime(4.0));
   EXPECT_NEAR(t4 / t1, 4.0, 0.01);
+}
+
+TEST(PacketNetwork, NonFiniteTimeScaleIsRejected) {
+  for (double scale : {std::nan(""), HUGE_VAL, 0.0, -2.0}) {
+    Simulator sim;
+    Topology topo;
+    topo.addHost("a");
+    PacketNetworkOptions opts;
+    opts.time_scale = scale;
+    EXPECT_THROW((PacketNetwork{sim, std::move(topo), opts}), mg::UsageError) << scale;
+  }
 }
 
 // --------------------------------------------------------------------- tcp --

@@ -59,6 +59,18 @@ TEST(Strings, Join) {
   EXPECT_EQ(mu::join({}, ","), "");
 }
 
+TEST(Strings, ParseNumbersWantTheWholeString) {
+  EXPECT_EQ(mu::parseDouble(" 2.5 "), 2.5);
+  EXPECT_EQ(mu::parseInt("-1"), -1);
+  EXPECT_FALSE(mu::parseDouble("abc").has_value());
+  EXPECT_FALSE(mu::parseDouble("1.5x").has_value());
+  EXPECT_FALSE(mu::parseDouble("").has_value());
+  EXPECT_FALSE(mu::parseInt("3.0").has_value());
+  EXPECT_FALSE(mu::parseInt("99999999999999999999").has_value());
+  // Non-finite spellings parse; callers that need a finite value check it.
+  EXPECT_TRUE(mu::parseDouble("nan").has_value());
+}
+
 TEST(Strings, GlobMatchStar) {
   EXPECT_TRUE(mu::globMatch("vm*", "vm0.ucsd.edu"));
   EXPECT_TRUE(mu::globMatch("*.ucsd.edu", "vm0.ucsd.edu"));
