@@ -114,9 +114,10 @@ static void BM_PacketForwarding(benchmark::State& state) {
     net::Topology topo;
     net::NodeId prev = topo.addHost("h0");
     for (int i = 1; i <= hops; ++i) {
-      net::NodeId next = (i == hops) ? topo.addHost("h" + std::to_string(i))
-                                     : topo.addRouter("r" + std::to_string(i));
-      topo.addLink("l" + std::to_string(i), prev, next, 1e9, 1000);
+      const std::string n = std::to_string(i);
+      net::NodeId next = (i == hops) ? topo.addHost(std::string("h").append(n))
+                                     : topo.addRouter(std::string("r").append(n));
+      topo.addLink(std::string("l").append(n), prev, next, 1e9, 1000);
       prev = next;
     }
     net::PacketNetwork net(sim, std::move(topo), {});
@@ -186,7 +187,8 @@ static void BM_FlowChurn(benchmark::State& state) {
       topo.addLink("up" + std::to_string(c), sw, core, 1e9, sim::fromSeconds(0.2e-3));
       for (int h = 0; h < kHostsPer; ++h) {
         const int idx = c * kHostsPer + h;
-        hosts[static_cast<std::size_t>(idx)] = topo.addHost("h" + std::to_string(idx));
+        hosts[static_cast<std::size_t>(idx)] =
+            topo.addHost(std::string("h").append(std::to_string(idx)));
         topo.addLink("eth" + std::to_string(idx), hosts[static_cast<std::size_t>(idx)], sw,
                      100e6, sim::fromSeconds(0.05e-3));
       }
@@ -205,9 +207,8 @@ static void BM_FlowChurn(benchmark::State& state) {
       for (int idx = 0; idx < kClusters * kHostsPer; ++idx) restart(idx, kRounds);
     });
     sim.run();
-    const net::FlowNetworkStats stats = fn.stats();
-    recomputes += stats.share_recomputes;
-    visits += stats.recompute_flow_visits;
+    recomputes += sim.metrics().counterValue("net.flow.share_recomputes");
+    visits += sim.metrics().counterValue("net.flow.recompute_flow_visits");
   }
   state.SetItemsProcessed(recomputes);
   state.counters["visits_per_recompute"] =

@@ -104,6 +104,12 @@ Options parseArgs(int argc, char** argv) {
   return opt;
 }
 
+std::string hostName(int h) {
+  std::string name = "h";  // appended, not "h" + ...: gcc 12 -Wrestrict false positive
+  name += std::to_string(h);
+  return name;
+}
+
 /// Hosts under 64-port edge switches, switches under one core router —
 /// cross-switch traffic takes 4 hops, so the packet model pays per segment
 /// per hop while the fluid model pays per flow.
@@ -120,7 +126,7 @@ core::VirtualGridConfig makeTree(int hosts) {
     cfg.addPhysical("pm" + std::to_string(s), kFanout * kHostOps);
   }
   for (int h = 0; h < hosts; ++h) {
-    const std::string name = "h" + std::to_string(h);
+    const std::string name = hostName(h);
     const std::string ip =
         "10." + std::to_string(h / 65536) + "." + std::to_string((h / 256) % 256) + "." +
         std::to_string(h % 256);
@@ -157,8 +163,8 @@ RunResult runWorkload(const core::VirtualGridConfig& cfg, const Options& opt,
   auto total = std::make_shared<std::int64_t>(0);
   const int stride = opt.hosts / opt.pairs;
   for (int p = 0; p < opt.pairs; ++p) {
-    const std::string src = "h" + std::to_string(p * stride);
-    const std::string dst = "h" + std::to_string((p * stride + opt.hosts / 2) % opt.hosts);
+    const std::string src = hostName(p * stride);
+    const std::string dst = hostName((p * stride + opt.hosts / 2) % opt.hosts);
     const auto port = static_cast<std::uint16_t>(7000 + p);
     platform.spawnOn(dst, "rx." + std::to_string(p), [port, total](vos::HostContext& ctx) {
       auto listener = ctx.listen(port);

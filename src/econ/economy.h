@@ -113,11 +113,6 @@ class GridEconomy {
   /// interval buys.
   void registerTelemetry(obs::TelemetrySampler& sampler);
 
-  /// State capture (DESIGN.md §10): per-cluster queue/pool occupancy and
-  /// aliveness, every in-flight job's phase, and the workload generator
-  /// cursor, registered under "econ". Read-only at capture time.
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
-
  private:
   /// GPS processor-sharing pool: running jobs' cores share `cores`
   /// max-min-uniformly; completions are tracked in virtual-work time V(t)

@@ -61,20 +61,6 @@ struct FlowNetworkOptions {
 using FlowId = std::int64_t;
 constexpr FlowId kNoFlow = 0;
 
-/// Snapshot view over the `net.flow.*` registry counters/gauges.
-struct FlowNetworkStats {
-  std::int64_t flows_started = 0;
-  std::int64_t flows_completed = 0;
-  std::int64_t flows_aborted = 0;     // killed by link/node faults
-  std::int64_t payload_bytes = 0;     // offered payload (at start)
-  std::int64_t share_recomputes = 0;  // max-min recompute passes
-  std::int64_t recompute_flow_visits = 0;  // flows visited across all passes
-  std::int64_t flows_stalled = 0;     // transitions into the zero-rate park
-  std::int64_t dropped_down = 0;      // packet-as-flow sends lost to faults
-  std::int64_t active_flows = 0;      // current
-  std::int64_t peak_active_flows = 0;
-};
-
 /// The max-min fair fluid engine. Owned by FlowNetwork (all traffic) and
 /// HybridNetwork (non-escalated traffic); platforms reach it through
 /// NetworkModel::flows() to run socket-level transfers as single events.
@@ -149,7 +135,6 @@ class FlowEngine {
   /// consistency tests.
   bool indexConsistent() const;
   const FlowNetworkOptions& options() const { return opts_; }
-  FlowNetworkStats stats() const;
 
   /// Fold every active flow's dynamic state (remaining bits, rate, stall
   /// flag, integration stamp) into `w` in ascending FlowId order
@@ -266,7 +251,6 @@ class FlowEngine {
   obs::Gauge& g_active_;
   obs::Gauge& g_peak_;
   util::Histogram& h_scope_;
-  obs::TraceBus::Channel& trace_;
   std::int64_t peak_active_ = 0;
 };
 
@@ -286,7 +270,6 @@ class FlowNetwork : public NetworkModel {
   FlowEngine& engine() { return engine_; }
 
   const FlowNetworkOptions& options() const { return engine_.options(); }
-  FlowNetworkStats stats() const { return engine_.stats(); }
 
   /// Modeled duration of an uncontended transfer.
   sim::SimTime estimate(NodeId src, NodeId dst, std::int64_t bytes) const {

@@ -1,8 +1,8 @@
 // The unified cross-layer metrics registry (DESIGN.md "Observability").
 //
-// Every layer that used to keep ad-hoc counters (PacketNetworkStats,
-// scheduler quanta, vmpi byte counts, GIS query counts, ...) registers named
-// instruments here instead. Names follow `layer.component.counter`, e.g.
+// Every layer registers its counts here (packet drops, scheduler quanta,
+// vmpi byte counts, GIS query counts, ...) as named instruments; this is the
+// only place a count is kept. Names follow `layer.component.counter`, e.g.
 // "net.packet.sent" or "vos.sched.quanta".
 //
 // Hot-path cost is one pointer-indirected integer increment: components

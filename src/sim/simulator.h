@@ -20,6 +20,12 @@
 // shutdown every unfinished process is unwound with a ProcessKilled
 // exception; process code must let it propagate (never swallow with
 // catch(...)) and must not issue new blocking calls while unwinding.
+//
+// The simulator also owns the run's observers, one per concern: metrics()
+// keeps every count, spans() records timed events such as packet transits,
+// flows, quanta and faults (off by default), timeline() holds sampled series
+// and pulse() feeds the --progress monitor. None of them feeds back into
+// simulated state.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +40,6 @@
 #include "obs/state_capture.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
-#include "obs/trace_bus.h"
 #include "sim/event_fn.h"
 #include "sim/time.h"
 #include "util/error.h"
@@ -269,11 +274,6 @@ class Simulator {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The run-wide deterministic trace bus (disabled by default; enable
-  /// channels via traceBus().setEnabled("net", true) etc.).
-  obs::TraceBus& traceBus() { return trace_; }
-  const obs::TraceBus& traceBus() const { return trace_; }
-
   /// The run-wide causal span recorder (disabled by default; enable with
   /// spans().setEnabled(true) before the run). The kernel propagates the
   /// current-span context through event dispatch, spawn inheritance, and
@@ -315,9 +315,8 @@ class Simulator {
   void reapIfNeeded();
   SimTime runLoop(SimTime limit, bool bounded);
 
-  // Declared before the counter/channel handles below, which point into it.
+  // Declared before the counter handles below, which point into it.
   obs::MetricsRegistry metrics_;
-  obs::TraceBus trace_;
   obs::SpanRecorder spans_{&metrics_};
   obs::TimeSeriesRecorder timeline_;
   obs::RunPulse pulse_;
@@ -332,7 +331,6 @@ class Simulator {
   obs::Counter& processes_spawned_ = metrics_.counter("sim.process.spawned");
   obs::Counter& process_wakes_ = metrics_.counter("sim.process.wakes");
   obs::Counter& process_kills_ = metrics_.counter("sim.process.kills");
-  obs::TraceBus::Channel& proc_trace_ = trace_.channel("sim.process");
 
   detail::EventQueue queue_;
 

@@ -19,6 +19,7 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "gis/service.h"
+#include "net/packet_network.h"
 #include "npb/npb.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -26,7 +27,6 @@
 #include "obs/sim_profiler.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
-#include "obs/trace_bus.h"
 #include "obs/trace_export.h"
 #include "sim/telemetry.h"
 #include "util/error.h"
@@ -56,7 +56,7 @@ TEST(Metrics, HandlesStayValidAcrossManyRegistrations) {
   // number of later registrations (this is the hot-path contract).
   mo::MetricsRegistry reg;
   mo::Counter& first = reg.counter("first");
-  for (int i = 0; i < 1000; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) reg.counter(std::string("c").append(std::to_string(i)));
   first.inc(7);
   EXPECT_EQ(reg.counterValue("first"), 7);
 }
@@ -125,85 +125,6 @@ TEST(Metrics, SnapshotCsvIsNameSortedAndStable) {
       "c.hist,histogram,2\n";
   EXPECT_EQ(reg.snapshotCsv(), expected);
   EXPECT_EQ(reg.snapshotCsv(), expected);
-}
-
-// -------------------------------------------------------------- trace bus --
-
-TEST(TraceBus, DisabledChannelRecordsNothing) {
-  mo::TraceBus bus;
-  mo::TraceBus::Channel& ch = bus.channel("net.packet");
-  EXPECT_FALSE(ch.enabled());
-  ch.record(100, "drop", 1.0);
-  EXPECT_TRUE(bus.events().empty());
-}
-
-TEST(TraceBus, PrefixEnableMatchesDottedComponents) {
-  mo::TraceBus bus;
-  auto& packet = bus.channel("net.packet");
-  auto& sched = bus.channel("vos.sched");
-  bus.setEnabled("net", true);
-  EXPECT_TRUE(packet.enabled());
-  EXPECT_FALSE(sched.enabled());
-  // "net" must not match "network" — only exact names or dotted children.
-  auto& network = bus.channel("network");
-  EXPECT_FALSE(network.enabled());
-  // Masks apply to channels created later, and later masks win.
-  auto& flow = bus.channel("net.flow");
-  EXPECT_TRUE(flow.enabled());
-  bus.setEnabled("net.flow", false);
-  EXPECT_FALSE(flow.enabled());
-  EXPECT_TRUE(packet.enabled());
-  // The empty prefix matches everything.
-  bus.setEnabled("", true);
-  EXPECT_TRUE(sched.enabled());
-  EXPECT_TRUE(flow.enabled());
-}
-
-TEST(TraceBus, RecordSerializeAndAsTrace) {
-  mo::TraceBus bus;
-  auto& ch = bus.channel("vos.sched");
-  bus.setEnabled("vos", true);
-  ch.record(1000000000, "quantum", 0.5, "taskA");
-  ch.record(2000000000, "quantum", 0.75);
-  ch.record(2000000000, "other", 9.0);
-  ASSERT_EQ(bus.events().size(), 3u);
-  EXPECT_EQ(bus.serialize(),
-            "1000000000 vos.sched quantum 0.5 taskA\n"
-            "2000000000 vos.sched quantum 0.75\n"
-            "2000000000 vos.sched other 9\n");
-  const mg::util::Trace t = bus.asTrace("vos.sched", "quantum");
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_DOUBLE_EQ(t[0].first, 1.0);  // nanoseconds -> seconds
-  EXPECT_DOUBLE_EQ(t[0].second, 0.5);
-  EXPECT_DOUBLE_EQ(t[1].second, 0.75);
-  bus.clear();
-  EXPECT_TRUE(bus.events().empty());
-}
-
-TEST(TraceBus, SerializeRoundTripsValues) {
-  // The %.9g rendering must survive a parse/re-record cycle byte-for-byte:
-  // tooling that filters a trace and writes it back must not churn digits.
-  mo::TraceBus bus;
-  auto& ch = bus.channel("x.y");
-  bus.setEnabled("", true);
-  std::int64_t t = 1;
-  for (double v : {0.1, 1.0 / 3.0, 12345.678901, 1e-9, 2.5e17, 0.30000000000000004}) {
-    ch.record(t++, "v", v);
-  }
-  const std::string first = bus.serialize();
-
-  mo::TraceBus bus2;
-  auto& ch2 = bus2.channel("x.y");
-  bus2.setEnabled("", true);
-  std::istringstream in(first);
-  std::string line;
-  std::int64_t t2 = 1;
-  while (std::getline(in, line)) {
-    const auto fields = mg::util::splitWhitespace(line);
-    ASSERT_GE(fields.size(), 4u) << line;
-    ch2.record(t2++, "v", std::stod(fields[3]));
-  }
-  EXPECT_EQ(bus2.serialize(), first);
 }
 
 // ------------------------------------------------------------------ spans --
@@ -300,7 +221,7 @@ RunResult runObservedWorkload(bool enable_tracing) {
   RunResult out;
   core::VirtualGridConfig cfg = smallGrid();
   out.platform = std::make_unique<core::MicroGridPlatform>(cfg);
-  if (enable_tracing) out.platform->simulator().traceBus().setEnabled("", true);
+  if (enable_tracing) out.platform->simulator().spans().setEnabled(true);
 
   grid::ExecutableRegistry registry;
   registry.add("obs.job", [](grid::JobContext& jc) {
@@ -328,7 +249,7 @@ RunResult runObservedWorkload(bool enable_tracing) {
   EXPECT_TRUE(result.ok) << result.error;
 
   sim::Simulator& sim = out.platform->simulator();
-  out.trace = sim.traceBus().serialize();
+  out.trace = sim.spans().serializeTree();
   out.metrics_json = sim.metrics().snapshotJson();
   out.events_executed = sim.eventsExecuted();
   return out;
@@ -404,20 +325,9 @@ TEST(ObsEndToEnd, SnapshotCoversEveryLayer) {
             r.events_executed);
 }
 
-TEST(ObsEndToEnd, LegacyStatsViewsAgreeWithRegistry) {
-  RunResult r = runObservedWorkload(/*enable_tracing=*/false);
-  // The thin stats() views are assembled from the registry, so a call site
-  // reading the struct sees exactly the registry's numbers.
-  const auto s = r.platform->packetNetwork().stats();
-  const auto& m = r.platform->simulator().metrics();
-  EXPECT_EQ(s.packets_sent, m.counterValue("net.packet.sent"));
-  EXPECT_EQ(s.packets_delivered, m.counterValue("net.packet.delivered"));
-  EXPECT_GT(s.packets_sent, 0);
-}
-
 TEST(ObsEndToEnd, SameSeedRunsAreByteIdentical) {
   // The determinism acceptance test: two identically configured runs must
-  // produce byte-identical trace streams and metrics snapshots.
+  // produce byte-identical span trees and metrics snapshots.
   RunResult a = runObservedWorkload(/*enable_tracing=*/true);
   RunResult b = runObservedWorkload(/*enable_tracing=*/true);
   EXPECT_FALSE(a.trace.empty());
@@ -506,6 +416,86 @@ TEST(SpansEndToEnd, ChromeTraceIsWellFormedJson) {
   EXPECT_NE(r.chrome.find("\"name\":\"thread_name\""), std::string::npos);
 }
 
+TEST(SpansEndToEnd, EveryCountedPacketDropClosesItsTransitSpan) {
+  // Spans are the event record of packet drops; the registry holds the
+  // counts. When every packet carries a transit span, the drop reasons on
+  // the spans partition the drop counters exactly.
+  sim::Simulator sim;
+  sim.spans().setEnabled(true);
+  net::Topology topo;
+  const net::NodeId a = topo.addHost("a");
+  const net::NodeId r = topo.addRouter("r");
+  const net::NodeId b = topo.addHost("b");
+  topo.addLink("lossy", a, r, 10e6, sim::fromSeconds(1e-3), 1 << 20, 0.2);
+  const net::LinkId last = topo.addLink("last", r, b, 1e6, sim::fromSeconds(1e-3), 4096);
+  net::PacketNetwork net(sim, std::move(topo), {});
+  net.attachHost(b, [](net::Packet&&) {});
+  for (int i = 0; i < 400; ++i) {
+    sim.scheduleAt(i * sim::kMillisecond, [&] {
+      net::Packet p;
+      p.src = a;
+      p.dst = b;
+      p.protocol = net::Protocol::Udp;
+      p.payload.resize(200);
+      p.span = sim.spans().begin("test", "transit");
+      net.send(std::move(p));
+    });
+  }
+  // An outage mid-stream: the packet on the wire dies as link_down, the ones
+  // queued behind it are purged, later ones find no route.
+  sim.scheduleAt(100 * sim::kMillisecond, [&] { net.setLinkUp(last, false); });
+  sim.scheduleAt(200 * sim::kMillisecond, [&] { net.setLinkUp(last, true); });
+  sim.run();
+
+  std::map<std::string, std::int64_t> reasons;
+  for (const auto& s : sim.spans().spans()) {
+    if (s.component != "test") continue;
+    EXPECT_FALSE(s.open()) << "transit span #" << s.id << " never closed";
+    for (const auto& [k, v] : s.attrs) {
+      if (k == "dropped") ++reasons[v];
+    }
+  }
+  const auto& m = sim.metrics();
+  EXPECT_GT(reasons["loss"], 0);
+  EXPECT_GT(reasons["queue"], 0);
+  EXPECT_GT(reasons["link_down"], 0);
+  EXPECT_GT(reasons["purged"], 0);
+  EXPECT_GT(reasons["no_route"], 0);
+  EXPECT_EQ(reasons["loss"], m.counterValue("net.packet.dropped_loss"));
+  EXPECT_EQ(reasons["queue"], m.counterValue("net.packet.dropped_queue"));
+  EXPECT_EQ(reasons["link_down"] + reasons["purged"], m.counterValue("net.packet.drop_link_down"));
+  EXPECT_EQ(reasons["link_down"] + reasons["purged"] + reasons["no_route"],
+            m.counterValue("net.packet.dropped_down"));
+}
+
+TEST(SpansEndToEnd, EpUnderFaultsShowsDropReasonsOnTransitSpans) {
+  // NPB EP under a lossy eth1 plus an eth2 outage that covers EP's final
+  // reduction (~6.9 s). Data segments carry transit spans; pure ACKs and
+  // connection control packets are counted but untraced by design, so the
+  // spans are a subset of the counts.
+  fault::FaultPlan plan;
+  plan.add(mgtest::lossyEth1(0.05, 60.0));
+  plan.add(mgtest::simpleEvent(fault::FaultKind::LinkDown, "eth2", 1.0, 7.0));
+  const auto run = mgtest::runEpUnderFaults(plan, 42, /*trace=*/true);
+
+  long long loss_spans = 0, outage_spans = 0;
+  std::istringstream in(run.trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto fields = mg::util::splitWhitespace(line);
+    ASSERT_GE(fields.size(), 3u) << line;
+    if (fields[2] != "net.tcp.segment") continue;  // hop children repeat the reason
+    for (const auto& f : fields) {
+      if (f == "dropped=loss") ++loss_spans;
+      if (f == "dropped=link_down" || f == "dropped=no_route") ++outage_spans;
+    }
+  }
+  EXPECT_GT(loss_spans, 0);
+  EXPECT_LE(loss_spans, jsonCounter(run.metrics, "net.packet.dropped_loss"));
+  EXPECT_GT(outage_spans, 0);
+  EXPECT_LE(outage_spans, jsonCounter(run.metrics, "net.packet.dropped_down"));
+}
+
 // ------------------------------------------- same-seed golden (faulted EP) --
 
 namespace {
@@ -517,7 +507,6 @@ namespace {
 struct GoldenRun {
   std::string metrics;   // MetricsRegistry::snapshotJson()
   std::string spans;     // SpanRecorder::serializeTree()
-  std::string trace;     // TraceBus::serialize()
   std::string profile;   // SimProfiler::json()
   std::string report;    // fault availability report
   std::string timeline;  // TimeSeriesRecorder::csv() (sampled at 50 ms)
@@ -528,7 +517,6 @@ struct GoldenRun {
 GoldenRun runGoldenEpWithFaults() {
   mgtest::HarnessOptions hopts;
   hopts.spans = true;
-  hopts.trace_bus = true;
   mgtest::LauncherHarness h(hopts);
   sim::Simulator& sim = h.platform.simulator();
 
@@ -557,7 +545,6 @@ GoldenRun runGoldenEpWithFaults() {
   GoldenRun out;
   out.metrics = sim.metrics().snapshotJson();
   out.spans = sim.spans().serializeTree();
-  out.trace = sim.traceBus().serialize();
   out.profile = obs::SimProfiler(sim.spans()).json();
   out.report = injector.renderReport();
   out.timeline = sim.timeline().csv();
@@ -570,18 +557,16 @@ GoldenRun runGoldenEpWithFaults() {
 
 TEST(FaultedEpGolden, SameSeedRunsAreByteIdenticalInEveryStream) {
   // Same seed => same bytes, under crash + resubmission + stochastic loss:
-  // metrics snapshot, span tree, trace bus, profiler output, the fault
-  // availability report, the timeline, and job-level results.
+  // metrics snapshot, span tree, profiler output, the fault availability
+  // report, the timeline, and job-level results.
   const GoldenRun first = runGoldenEpWithFaults();
   EXPECT_GT(jsonCounter(first.metrics, "fault.host_crash"), 0);
   EXPECT_GE(first.resubmits, 1);  // the crash really failed the first attempt
   EXPECT_FALSE(first.spans.empty());
-  EXPECT_FALSE(first.trace.empty());
 
   const GoldenRun second = runGoldenEpWithFaults();
   EXPECT_EQ(first.metrics, second.metrics);
   EXPECT_EQ(first.spans, second.spans);
-  EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.profile, second.profile);
   EXPECT_EQ(first.report, second.report);
   EXPECT_EQ(first.timeline, second.timeline);

@@ -103,19 +103,19 @@ TEST_P(PacketConservation, EveryPacketAccounted) {
     net.send(std::move(p));
   }
   sim.run();
-  const auto& s = net.stats();
-  EXPECT_EQ(s.packets_sent, kPackets);
-  EXPECT_EQ(s.packets_delivered + s.packets_dropped_queue + s.packets_dropped_loss +
-                s.packets_dropped_down,
+  const auto& m = sim.metrics();
+  EXPECT_EQ(m.counterValue("net.packet.sent"), kPackets);
+  EXPECT_EQ(m.counterValue("net.packet.delivered") + m.counterValue("net.packet.dropped_queue") +
+                m.counterValue("net.packet.dropped_loss") + m.counterValue("net.packet.dropped_down"),
             kPackets);
   EXPECT_LE(delivered_payload, injected_payload);
-  EXPECT_EQ(delivered_payload, s.bytes_delivered);
+  EXPECT_EQ(delivered_payload, m.counterValue("net.packet.bytes_delivered"));
   if (loss == 0.0) {
     // No random loss and queues big enough at this rate: drops only from
     // queue overflow, which the slow middle link can cause.
-    EXPECT_EQ(s.packets_dropped_loss, 0);
+    EXPECT_EQ(m.counterValue("net.packet.dropped_loss"), 0);
   } else {
-    EXPECT_GT(s.packets_dropped_loss, 0);
+    EXPECT_GT(m.counterValue("net.packet.dropped_loss"), 0);
   }
 }
 
@@ -383,11 +383,12 @@ FlowScenario makeFlowScenario(std::uint64_t seed) {
 std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental) {
   st::Simulator sim;
   net::Topology topo;
-  for (int h = 0; h < s.hosts; ++h) topo.addHost("h" + std::to_string(h));
-  for (int r = 0; r < s.routers; ++r) topo.addRouter("r" + std::to_string(r));
+  for (int h = 0; h < s.hosts; ++h) topo.addHost(std::string("h").append(std::to_string(h)));
+  for (int r = 0; r < s.routers; ++r) topo.addRouter(std::string("r").append(std::to_string(r)));
   for (std::size_t i = 0; i < s.links.size(); ++i) {
     const auto& l = s.links[i];
-    topo.addLink("l" + std::to_string(i), l.a, l.b, l.bw, st::fromSeconds(l.lat_s));
+    topo.addLink(std::string("l").append(std::to_string(i)), l.a, l.b, l.bw,
+                 st::fromSeconds(l.lat_s));
   }
   net::FlowNetworkOptions opts;
   opts.incremental = incremental;
@@ -446,18 +447,24 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
       // wrong intermediate share even when completion times still agree.
       std::string sample = "rates @" + std::to_string(sim.now());
       for (net::FlowId id : ids) {
-        sample += " " + fmt(eng.currentRateBps(id)) + (eng.isStalled(id) ? "*" : "");
+        sample += ' ';
+        sample += fmt(eng.currentRateBps(id));
+        if (eng.isStalled(id)) sample += '*';
       }
       log.push_back(sample);
       EXPECT_TRUE(eng.indexConsistent());
     });
   }
   sim.run();
-  const auto stats = fn.stats();
-  log.push_back("stats " + std::to_string(stats.flows_started) + "/" +
-                std::to_string(stats.flows_completed) + "/" + std::to_string(stats.flows_aborted) +
-                "/" + std::to_string(stats.flows_stalled) + "/" +
-                std::to_string(stats.share_recomputes));
+  std::string stats = "stats";
+  const char* sep = " ";
+  for (const char* counter : {"net.flow.started", "net.flow.completed", "net.flow.aborted",
+                              "net.flow.stalls", "net.flow.share_recomputes"}) {
+    stats += sep;
+    stats += std::to_string(sim.metrics().counterValue(counter));
+    sep = "/";
+  }
+  log.push_back(stats);
   EXPECT_TRUE(eng.indexConsistent());
   // The event queue only runs dry when no drain is pending, so whatever is
   // still active must be parked as stalled (degraded to zero with no later
@@ -467,7 +474,8 @@ std::vector<std::string> runFlowScenario(const FlowScenario& s, bool incremental
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (!eng.isStalled(ids[i])) continue;
     ++stalled_left;
-    leftovers += " " + std::to_string(i);
+    leftovers += ' ';
+    leftovers += std::to_string(i);
   }
   EXPECT_EQ(eng.activeFlows(), stalled_left) << "non-stalled flows leaked past drain/abort";
   log.push_back(leftovers);

@@ -107,14 +107,14 @@ TEST(Process, TwoProcessesInterleaveDeterministically) {
   std::vector<std::string> log;
   sim.spawn("a", [&] {
     for (int i = 0; i < 3; ++i) {
-      log.push_back("a" + std::to_string(i));
+      log.push_back(std::string("a").append(std::to_string(i)));
       sim.delay(10);
     }
   });
   sim.spawn("b", [&] {
     sim.delay(5);
     for (int i = 0; i < 3; ++i) {
-      log.push_back("b" + std::to_string(i));
+      log.push_back(std::string("b").append(std::to_string(i)));
       sim.delay(10);
     }
   });
@@ -253,7 +253,7 @@ TEST(Condition, NotifyOneWakesFifo) {
   Condition cond(sim);
   std::vector<int> woken;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("w" + std::to_string(i), [&, i] {
+    sim.spawn(std::string("w").append(std::to_string(i)), [&, i] {
       cond.wait();
       woken.push_back(i);
     });
@@ -275,7 +275,7 @@ TEST(Condition, NotifyAllWakesEveryone) {
   Condition cond(sim);
   int woken = 0;
   for (int i = 0; i < 5; ++i) {
-    sim.spawn("w" + std::to_string(i), [&] {
+    sim.spawn(std::string("w").append(std::to_string(i)), [&] {
       cond.wait();
       ++woken;
     });
@@ -479,13 +479,13 @@ TEST(Simulator, ManyProcessesTearDownCleanly) {
   for (int i = 0; i < 100; ++i) {
     switch (i % 3) {
       case 0:
-        sim.spawn("s" + std::to_string(i), [&] { sim.suspend(); });
+        sim.spawn(std::string("s").append(std::to_string(i)), [&] { sim.suspend(); });
         break;
       case 1:
-        sim.spawn("c" + std::to_string(i), [&] { cond->wait(); });
+        sim.spawn(std::string("c").append(std::to_string(i)), [&] { cond->wait(); });
         break;
       default:
-        sim.spawn("r" + std::to_string(i), [&] { chan->recv(); });
+        sim.spawn(std::string("r").append(std::to_string(i)), [&] { chan->recv(); });
         break;
     }
   }

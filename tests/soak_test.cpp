@@ -42,12 +42,15 @@ net::Topology bigGrid() {
   net::Topology topo;
   std::vector<net::NodeId> routers;
   for (int c = 0; c < kClusters; ++c) {
-    auto r = topo.addRouter("r" + std::to_string(c));
+    const std::string cs = std::to_string(c);
+    auto r = topo.addRouter(std::string("r").append(cs));
     routers.push_back(r);
     for (int i = 0; i < kHostsPerCluster; ++i) {
-      auto h = topo.addHost("h" + std::to_string(c) + "_" + std::to_string(i));
-      topo.addLink("l" + std::to_string(c) + "_" + std::to_string(i), h, r, 100e6, 50 * kUs,
-                   256 * 1024);
+      std::string suffix = cs;
+      suffix += '_';
+      suffix += std::to_string(i);
+      auto h = topo.addHost(std::string("h").append(suffix));
+      topo.addLink(std::string("l").append(suffix), h, r, 100e6, 50 * kUs, 256 * 1024);
     }
   }
   for (int c = 0; c + 1 < kClusters; ++c) {
