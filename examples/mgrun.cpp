@@ -29,10 +29,12 @@
 //                      fault schedule composable from the candidates is
 //                      replayed and checked against the simulator's
 //                      invariants; [fault ...] sections from --config /
-//                      --faults are injected in every schedule. Prints the
-//                      branch log and stats; on a violation, prints the
-//                      delta-debugged minimal reproducing fault plan as INI
-//                      (replayable via --faults) and exits 3.
+//                      --faults are injected in every schedule, and --exe,
+//                      --args, --parts, --resubmits, --quantum, --netmodel
+//                      and --netmodel-detail shape each schedule's run.
+//                      Prints the branch log and stats; on a violation,
+//                      prints the delta-debugged minimal reproducing fault
+//                      plan as INI (replayable via --faults) and exits 3.
 //   --explore-budget N stop after N schedules (overrides [explore] budget)
 //   --resubmits N      resubmit a failed job up to N times (default: 2 when
 //                      faults are present, else 0)
@@ -70,12 +72,18 @@
 // A bare (non-flag) argument is taken as the config file, so
 // `mgrun --trace-out=ep.json examples/grids/alpha4.ini` works. A numeric
 // flag value must be a whole, finite number in the flag's range; anything
-// else, like an unknown flag, exits 2 with a message naming the flag.
+// else, like an unknown flag, exits 2 with a message naming the flag. So
+// does a flag the chosen mode (--list-executables, --workload, --explore,
+// or a single run) never reads.
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <set>
+#include <string_view>
 
 #include "apps/wavetoy.h"
 #include "core/launcher.h"
@@ -123,6 +131,7 @@ struct Options {
   std::string workload_path;  // economy mode when non-empty
   std::string broker;         // "", "cost", "deadline", or "locality"
   std::int64_t jobs = 0;      // 0 = use the [workload] section's count
+  std::set<std::string> given;  // flags on the command line, without "=value"
 };
 
 /// A flag's value as a finite number > 0 (seconds, milliseconds, factors).
@@ -148,6 +157,7 @@ Options parseArgs(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    opt.given.insert(flag.rfind("--", 0) == 0 ? flag.substr(0, flag.find('=')) : "--config");
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw mg::UsageError("missing value for " + flag);
       return argv[++i];
@@ -220,6 +230,29 @@ Options parseArgs(int argc, char** argv) {
   return opt;
 }
 
+/// Exit 2 on a flag the chosen mode never reads, rather than ignore it.
+void requireReadBy(const Options& opt, const char* mode,
+                   std::initializer_list<std::string_view> reads) {
+  for (const std::string& flag : opt.given) {
+    if (std::find(reads.begin(), reads.end(), flag) == reads.end()) {
+      throw mg::UsageError(flag + " is not read in " + mode + " mode");
+    }
+  }
+}
+
+/// The MicroGrid options a single run and the explorer both take from the
+/// command line.
+core::MicroGridOptions platformOptions(const Options& opt) {
+  core::MicroGridOptions mopts;
+  mopts.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
+  if (!opt.netmodel.empty()) mopts.netmodel = net::parseNetModelKind(opt.netmodel);
+  if (!opt.netmodel_detail.empty() && mopts.netmodel != net::NetModelKind::Hybrid) {
+    throw mg::UsageError("--netmodel-detail needs --netmodel hybrid");
+  }
+  mopts.netmodel_detail = opt.netmodel_detail;
+  return mopts;
+}
+
 void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
   if (fmt == "json") {
     std::cout << metrics.snapshotJson() << "\n";
@@ -232,7 +265,7 @@ void printMetrics(obs::MetricsRegistry& metrics, const std::string& fmt) {
 
 /// Build a telemetry sampler over the simulator's recorder, with the bucket
 /// width matched to the interval so early buckets hold one sample each. The
-/// caller registers probes, then calls start().
+/// caller watches its subjects, then calls start().
 std::unique_ptr<obs::TelemetrySampler> makeSampler(sim::Simulator& sim, double interval_s) {
   sim.timeline().setBaseWidth(sim::fromSeconds(interval_s));
   obs::TelemetrySampler::Options sopts;
@@ -288,6 +321,7 @@ int main(int argc, char** argv) {
     npb::registerNpb(registry, npb_sink);
     apps::registerWaveToy(registry, wavetoy_sink);
     if (opt.list) {
+      requireReadBy(opt, "--list-executables", {"--list-executables"});
       std::cout << "registered executables:\n";
       for (const auto& name : registry.names()) std::cout << "  " << name << "\n";
       return 0;
@@ -296,6 +330,9 @@ int main(int argc, char** argv) {
     if (!opt.workload_path.empty()) {
       // Economy mode: generate the grid, synthesize the workload, run the
       // broker/batch-queue pipeline event-driven at simulation rate 1.
+      requireReadBy(opt, "--workload",
+                    {"--workload", "--broker", "--jobs", "--metrics", "--timeline",
+                     "--timeline-interval", "--progress"});
       const util::Config raw = util::Config::parseFile(opt.workload_path);
       econ::EconOptions eopts;
       eopts.workload = econ::WorkloadSpec::fromConfig(raw);
@@ -319,7 +356,7 @@ int main(int argc, char** argv) {
       if (!opt.timeline_out.empty()) {
         sampler = makeSampler(platform.simulator(), opt.timeline_interval_s);
         platform.registerTelemetry(*sampler);
-        economy.registerTelemetry(*sampler);
+        sampler->watch(economy);
         sampler->start();
       }
       std::unique_ptr<obs::ProgressMonitor> monitor;
@@ -358,6 +395,10 @@ int main(int argc, char** argv) {
       // Model-checking mode: enumerate and replay every fault schedule
       // composable from the [candidate ...] menu, invariants checked per
       // branch. Each schedule rebuilds the platform from scratch.
+      requireReadBy(opt, "--explore",
+                    {"--explore", "--explore-budget", "--config", "--platform", "--faults",
+                     "--exe", "--args", "--parts", "--resubmits", "--quantum", "--netmodel",
+                     "--netmodel-detail"});
       if (opt.platform != "mgrid") throw mg::UsageError("--explore needs --platform mgrid");
       auto spec = mc::Explorer::parseSpec(util::Config::parseFile(opt.explore_path));
       if (opt.explore_budget > 0) spec.options.budget = opt.explore_budget;
@@ -370,10 +411,10 @@ int main(int argc, char** argv) {
       lspec.arguments = opt.args;
       lspec.parts = parseParts(opt.parts, cfg);
       lspec.max_resubmits = opt.resubmits >= 0 ? opt.resubmits : 2;
-      lspec.platform.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
-      if (!opt.netmodel.empty()) {
-        lspec.platform.netmodel = net::parseNetModelKind(opt.netmodel);
-      }
+      lspec.platform = platformOptions(opt);
+      // A selector that matches nothing must fail here: inside the explorer
+      // every schedule would only be logged as invalid.
+      net::DetailSelector(cfg.topology(), lspec.platform.netmodel_detail);
       lspec.registrar = [&npb_sink, &wavetoy_sink](grid::ExecutableRegistry& r) {
         npb::registerNpb(r, npb_sink);
         apps::registerWaveToy(r, wavetoy_sink);
@@ -398,17 +439,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
+    requireReadBy(opt, "single-run",
+                  {"--config", "--platform", "--exe", "--args", "--parts", "--quantum",
+                   "--slowdown", "--netmodel", "--netmodel-detail", "--faults", "--resubmits",
+                   "--metrics", "--trace-out", "--timeline", "--timeline-interval", "--progress",
+                   "--profile", "--verbose"});
     std::unique_ptr<core::Platform> platform;
     core::MicroGridPlatform* mgrid = nullptr;
     if (opt.platform == "mgrid") {
-      core::MicroGridOptions mopts;
-      mopts.quantum = sim::fromSeconds(opt.quantum_ms * 1e-3);
+      core::MicroGridOptions mopts = platformOptions(opt);
       mopts.slowdown = opt.slowdown;
-      if (!opt.netmodel.empty()) mopts.netmodel = net::parseNetModelKind(opt.netmodel);
-      if (!opt.netmodel_detail.empty() && mopts.netmodel != net::NetModelKind::Hybrid) {
-        throw mg::UsageError("--netmodel-detail needs --netmodel hybrid");
-      }
-      mopts.netmodel_detail = opt.netmodel_detail;
       auto p = std::make_unique<core::MicroGridPlatform>(cfg, mopts);
       std::cout << "MicroGrid platform, simulation rate " << p->rate() << ", quantum "
                 << opt.quantum_ms << " ms\n";

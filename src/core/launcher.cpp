@@ -154,12 +154,12 @@ LaunchResult Launcher::run(const std::string& executable, const std::string& arg
   return *result;
 }
 
-void Launcher::registerStateCapture(obs::StateCaptureRegistry& reg) {
-  reg.add("grid.gis", [this](obs::StateWriter& w) {
-    // toLdif is insertion-ordered and stable under deterministic replay.
-    w.str("ldif", directory_.toLdif());
-    w.str("gis_host", gis_host_);
-  });
+void Launcher::inspect(obs::Inspector& in) const {
+  if (!in.wantsFields()) return;
+  in.key("grid.gis");
+  // toLdif is insertion-ordered and stable under deterministic replay.
+  in.str("ldif", directory_.toLdif());
+  in.str("gis_host", gis_host_);
 }
 
 void Launcher::markHostDown(const std::string& hostname) {

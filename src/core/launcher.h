@@ -101,9 +101,9 @@ class Launcher {
   /// (and the GIS server, if it lived there). Called when a host restarts.
   void markHostUp(const std::string& hostname);
 
-  /// Register the middleware's state capture (DESIGN.md §10): the GIS
-  /// directory's canonical LDIF dump under "grid.gis".
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
+  /// The middleware's view (obs/inspector.h), fields only: the GIS
+  /// directory's canonical LDIF dump and the GIS host, under "grid.gis".
+  void inspect(obs::Inspector& in) const;
 
  private:
   Platform& platform_;

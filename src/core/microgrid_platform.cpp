@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/sampler.h"
-#include "sim/telemetry.h"
 #include "util/log.h"
 
 namespace mg::core {
@@ -334,46 +333,29 @@ vos::CpuScheduler& MicroGridPlatform::schedulerFor(const std::string& physical_n
   return *schedulers_.at(physical_name);
 }
 
-void MicroGridPlatform::registerTelemetry(obs::TelemetrySampler& sampler) {
-  sim::registerKernelProbes(sampler, sim_);
-  net_->registerTelemetry(sampler);
-  // schedulers_ is name-ordered, so probe registration order (and with it
-  // the recorded series set) is independent of construction order.
-  for (auto& [name, sched] : schedulers_) {
-    sched->registerTelemetry(sampler, name);
-  }
-  sampler.addLevel("grid.batch.depth", [this](std::int64_t) {
-    return sim_.metrics().gaugeValue("grid.batch.depth");
-  });
+void MicroGridPlatform::registerTelemetry(obs::TelemetrySampler& sampler) const {
+  sampler.watch(*this);
 }
 
-void MicroGridPlatform::registerStateCapture(obs::StateCaptureRegistry& reg) {
-  reg.add("sim", [this](obs::StateWriter& w) { sim_.saveState(w); });
-  // The metrics snapshot is already canonical (sorted names, round-trip
-  // double formatting), so folding its JSON form keeps every layer's
-  // counters in the digest without a second enumeration surface.
-  reg.add("obs.metrics", [this](obs::StateWriter& w) {
-    w.str("json", sim_.metrics().snapshotJson());
-  });
-  reg.add("net", [this](obs::StateWriter& w) { net_->saveState(w); });
-  for (auto& [name, sched] : schedulers_) {
-    reg.add("vos.sched." + name,
-            [s = sched.get()](obs::StateWriter& w) { s->saveState(w); });
+void MicroGridPlatform::inspect(obs::Inspector& in) const {
+  sim_.inspect(in);
+  net_->inspect(in);
+  // schedulers_ is name-ordered, so the walk (and with it the recorded
+  // series set) is independent of construction order.
+  for (const auto& [name, sched] : schedulers_) sched->inspect(in, name);
+  in.level("grid.batch.depth", sim_.metrics().gaugeValue("grid.batch.depth"));
+  if (!in.wantsFields()) return;
+  in.key("core.hosts");
+  in.u64("hosts", hosts_.size());
+  for (const auto& [name, rt] : hosts_) {
+    in.str("host", name);
+    in.boolean("alive", rt.alive);
+    in.f64("cpu_factor", rt.cpu_factor);
+    in.f64("host_fraction", rt.host_fraction);
+    in.u64("tasks", rt.tasks.size());
+    if (rt.mem) in.i64("mem_used", rt.mem->used());
+    if (rt.stack) rt.stack->tcp().inspect(in);
   }
-  reg.add("core.hosts", [this](obs::StateWriter& w) {
-    w.u64("hosts", hosts_.size());
-    for (const auto& [name, rt] : hosts_) {
-      w.str("host", name);
-      w.boolean("alive", rt.alive);
-      w.f64("cpu_factor", rt.cpu_factor);
-      w.f64("host_fraction", rt.host_fraction);
-      w.u64("tasks", rt.tasks.size());
-      if (rt.mem) {
-        w.i64("mem_used", rt.mem->used());
-      }
-      if (rt.stack) rt.stack->tcp().saveState(w);
-    }
-  });
 }
 
 std::size_t MicroGridPlatform::openTcpConnections() {

@@ -25,6 +25,10 @@
 #include "vos/memory.h"
 #include "vos/virtual_time.h"
 
+namespace mg::obs {
+class TelemetrySampler;
+}
+
 namespace mg::core {
 
 struct MicroGridOptions {
@@ -81,23 +85,19 @@ class MicroGridPlatform : public Platform {
   /// Fig 15 trade-off).
   double emulationNow() const { return sim::toSeconds(sim_.now()); }
 
-  /// Register the platform's full time-resolved probe set (DESIGN.md §9)
-  /// on a sampler: kernel rates (sim.*), the network model's per-link and
-  /// throughput series (net.*), every physical machine's CPU scheduler
-  /// (vos.cpu.util.<machine>, vos.runq.<machine>), and the batch jobmanager
-  /// depth (grid.batch.depth) when one is active. Call after construction,
-  /// before sampler.start().
-  void registerTelemetry(obs::TelemetrySampler& sampler);
+  /// The platform's view (obs/inspector.h, DESIGN.md §9, §10): the kernel
+  /// (sim.*, clock, event heap, process table, metrics snapshot), the
+  /// network model's per-link and throughput series with its queues, RNG
+  /// streams and flows (net.*), every physical machine's CPU scheduler
+  /// (vos.cpu.util.<machine>, vos.runq.<machine>), the batch jobmanager
+  /// depth (grid.batch.depth), then as fields every virtual host's runtime:
+  /// aliveness, CPU factor, memory accounting, TCP endpoint table.
+  /// Read-only; call between events.
+  void inspect(obs::Inspector& in) const;
 
-  /// Register the platform's full state-capture set (DESIGN.md §10) on
-  /// `reg`: the kernel's clock/heap/process table ("sim"), the metrics
-  /// registry snapshot ("obs.metrics"), the network model with its queues,
-  /// RNG streams and flows ("net"), every physical machine's CPU scheduler
-  /// ("vos.sched.<machine>"), and every virtual host's runtime — aliveness,
-  /// CPU factor, memory accounting, TCP endpoint table ("core.hosts").
-  /// The snapshot/explorer machinery folds these into one canonical digest
-  /// per decision point. Call after construction; read-only at capture time.
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
+  /// Sample inspect() on `sampler` at every tick. Call after construction,
+  /// before sampler.start().
+  void registerTelemetry(obs::TelemetrySampler& sampler) const;
 
   /// TCP connections still open (neither fully closed nor reset), summed
   /// over every live host stack. A crashed host's stack died with its

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "net/flow_network.h"
-#include "obs/sampler.h"
 #include "util/error.h"
 
 namespace mg::econ {
@@ -116,26 +115,19 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
       });
 }
 
-void GridEconomy::registerTelemetry(obs::TelemetrySampler& sampler) {
-  sampler.addLevel("econ.active_jobs",
-                   [this](std::int64_t) { return static_cast<double>(active_.size()); });
-  sampler.addCounterRate("econ.submitted_per_s", c_submitted_);
-  sampler.addCounterRate("econ.completed_per_s", c_completed_);
-  for (auto& [name, cluster] : clusters_) {
-    const Cluster* c = &cluster;
-    sampler.addLevel("econ.queue.depth." + name,
-                     [c](std::int64_t) { return static_cast<double>(c->queue.depth()); });
-    sampler.addLevel("econ.queue.backlog_s." + name,
-                     [c](std::int64_t) { return c->queue.backlogSeconds(); });
-    sampler.addLevel("econ.running." + name,
-                     [c](std::int64_t) { return static_cast<double>(c->queue.runningCount()); });
+void GridEconomy::inspect(obs::Inspector& in) const {
+  in.level("econ.active_jobs", static_cast<double>(active_.size()));
+  in.total("econ.submitted_per_s", static_cast<double>(c_submitted_.value()));
+  in.total("econ.completed_per_s", static_cast<double>(c_completed_.value()));
+  const auto& views = broker_.views();
+  for (const auto& [name, c] : clusters_) {
+    in.level("econ.queue.depth.", name, static_cast<double>(c.queue.depth()));
+    in.level("econ.queue.backlog_s.", name, c.queue.backlogSeconds());
+    in.level("econ.running.", name, static_cast<double>(c.queue.runningCount()));
     // The broker's picture of the same cluster — stale by up to one GIS
     // refresh interval (plus TTL effects when the cluster crashed).
-    sampler.addLevel("econ.broker.view_backlog_s." + name, [this, name = name](std::int64_t) {
-      const auto& views = broker_.views();
-      auto it = views.find(name);
-      return it == views.end() ? 0.0 : it->second.backlog_s;
-    });
+    auto it = views.find(name);
+    in.level("econ.broker.view_backlog_s.", name, it == views.end() ? 0.0 : it->second.backlog_s);
   }
 }
 

@@ -105,13 +105,13 @@ class GridEconomy {
   Broker& broker() { return broker_; }
   const gis::Directory& directory() const { return gis_; }
 
-  /// Time-resolved probes (DESIGN.md §9): econ.active_jobs,
-  /// econ.submitted_per_s / econ.completed_per_s, per-cluster queue depth /
-  /// backlog / running counts, and the broker's (GIS-stale) per-cluster
-  /// backlog view — the gap between econ.queue.backlog_s.<c> and
-  /// econ.broker.view_backlog_s.<c> is the staleness the MDS-style refresh
-  /// interval buys.
-  void registerTelemetry(obs::TelemetrySampler& sampler);
+  /// The economy's view (obs/inspector.h), series only: econ.active_jobs,
+  /// totals econ.submitted_per_s / econ.completed_per_s, per-cluster queue
+  /// depth / backlog / running counts, and the broker's (GIS-stale)
+  /// per-cluster backlog view — the gap between econ.queue.backlog_s.<c>
+  /// and econ.broker.view_backlog_s.<c> is the staleness the MDS-style
+  /// refresh interval buys.
+  void inspect(obs::Inspector& in) const;
 
  private:
   /// GPS processor-sharing pool: running jobs' cores share `cores`

@@ -313,23 +313,23 @@ std::vector<FaultInjector::HostReport> FaultInjector::report(double elapsed_seco
   return out;
 }
 
-void FaultInjector::registerStateCapture(obs::StateCaptureRegistry& reg) {
-  reg.add("fault", [this](obs::StateWriter& w) {
-    w.u64("hosts", host_stats_.size());
-    for (const auto& [host, st] : host_stats_) {
-      w.key(host);
-      w.i64("crashes", st.crashes);
-      w.f64("down_since", st.down_since);
-      w.f64("downtime", st.downtime);
-    }
-    w.u64("partitions", partitions_.size());
-    for (const auto& [name, links] : partitions_) {
-      w.key(name);
-      w.u64("cut_links", links.size());
-    }
-    w.i64("injected", c_injected_.value());
-    w.i64("ignored", c_ignored_.value());
-  });
+void FaultInjector::inspect(obs::Inspector& in) const {
+  if (!in.wantsFields()) return;
+  in.key("fault");
+  in.u64("hosts", host_stats_.size());
+  for (const auto& [host, st] : host_stats_) {
+    in.key(host);
+    in.i64("crashes", st.crashes);
+    in.f64("down_since", st.down_since);
+    in.f64("downtime", st.downtime);
+  }
+  in.u64("partitions", partitions_.size());
+  for (const auto& [name, links] : partitions_) {
+    in.key(name);
+    in.u64("cut_links", links.size());
+  }
+  in.i64("injected", c_injected_.value());
+  in.i64("ignored", c_ignored_.value());
 }
 
 std::string FaultInjector::renderReport(double elapsed_seconds) const {

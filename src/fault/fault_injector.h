@@ -18,7 +18,6 @@
 
 #include "core/microgrid_platform.h"
 #include "fault/fault_plan.h"
-#include "obs/state_capture.h"
 
 namespace mg::fault {
 
@@ -68,11 +67,11 @@ class FaultInjector {
   /// Render report() as an aligned text table.
   std::string renderReport(double elapsed_seconds = 0) const;
 
-  /// State capture (DESIGN.md §10): availability bookkeeping (per-host
-  /// crash counts and open downtime intervals) and the live partition cuts,
-  /// registered under "fault". Two schedules that leave different fault
-  /// bookkeeping behind must never collapse to one digest.
-  void registerStateCapture(obs::StateCaptureRegistry& reg);
+  /// The injector's view (obs/inspector.h), fields only, under "fault":
+  /// availability bookkeeping (per-host crash counts and open downtime
+  /// intervals) and the live partition cuts. Two schedules that leave
+  /// different fault bookkeeping behind must never collapse to one digest.
+  void inspect(obs::Inspector& in) const;
 
  private:
   void fire(const FaultEvent& ev);

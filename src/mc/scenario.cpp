@@ -17,6 +17,14 @@ double ScenarioRun::runToEnd() {
   return platform->virtualNow();
 }
 
+std::uint64_t ScenarioRun::digest() const {
+  obs::StateWriter w(platform->simulator().now());
+  platform->inspect(w);
+  if (launcher) launcher->inspect(w);
+  if (injector) injector->inspect(w);
+  return w.digest();
+}
+
 ScenarioRun::~ScenarioRun() {
   // Join every process thread before members start dying under them.
   if (platform) platform->shutdown();
@@ -59,8 +67,6 @@ ScenarioFactory transferScenario() {
     run->units_completed = [received] {
       return *received == kBytes ? std::int64_t{1} : std::int64_t{0};
     };
-    p.registerStateCapture(run->capture);
-    run->injector->registerStateCapture(run->capture);
     return run;
   };
 }
@@ -107,9 +113,6 @@ ScenarioFactory launcherScenario(LauncherScenarioSpec spec) {
       }
       return "";
     };
-    run->platform->registerStateCapture(run->capture);
-    run->launcher->registerStateCapture(run->capture);
-    run->injector->registerStateCapture(run->capture);
     return run;
   };
 }

@@ -4,7 +4,9 @@
 // with a workload submitted (but not yet driven) and a FaultInjector armed
 // with some FaultPlan. The explorer owns the stepping — runTo() pauses at
 // fault decision points to capture state digests, runToEnd() drains the
-// run so the invariant checker can inspect the terminal state.
+// run so the invariant checker can inspect the terminal state. The digest
+// folds the platform's, the launcher's and the injector's inspect() walks,
+// in that fixed order, through one obs::StateWriter.
 //
 // Because simulated processes are OS threads, a snapshot cannot byte-copy
 // stacks; a scenario is therefore a *factory* — a pure function from a
@@ -24,7 +26,6 @@
 #include "core/launcher.h"
 #include "core/microgrid_platform.h"
 #include "fault/fault_injector.h"
-#include "obs/state_capture.h"
 
 namespace mg::mc {
 
@@ -36,7 +37,6 @@ struct ScenarioRun {
   std::unique_ptr<core::MicroGridPlatform> platform;
   std::unique_ptr<core::Launcher> launcher;  // null for raw-process scenarios
   std::unique_ptr<fault::FaultInjector> injector;
-  obs::StateCaptureRegistry capture;
 
   /// Work accounting for the no-lost-jobs invariant: after runToEnd(),
   /// units_completed() must equal units_expected.
@@ -55,10 +55,7 @@ struct ScenarioRun {
   double runToEnd();
 
   /// Canonical digest of the full platform state at the current pause point.
-  std::uint64_t digest() const { return capture.digest(); }
-  /// The field-by-field transcript of digest() — the diff surface when a
-  /// restore does not reproduce the captured state.
-  std::vector<std::string> transcript() const { return capture.transcript(); }
+  std::uint64_t digest() const;
 
   ScenarioRun() = default;
   ScenarioRun(const ScenarioRun&) = delete;

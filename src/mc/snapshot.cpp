@@ -18,20 +18,9 @@ std::unique_ptr<ScenarioRun> restore(const ScenarioFactory& make, const Snapshot
   run->runTo(snap.at);
   const std::uint64_t got = run->digest();
   if (got == snap.digest) return run;
-
-  // Diverged: the transcript names the first field that differs, which is
-  // worth far more than two 64-bit numbers.
-  std::string msg = util::format(
-      "restore diverged at t=%.9gvs: digest %016llx, snapshot %016llx",
-      snap.at, static_cast<unsigned long long>(got),
-      static_cast<unsigned long long>(snap.digest));
-  const std::vector<std::string> lines = run->transcript();
-  if (!lines.empty()) {
-    msg += util::format(" (replayed state has %zu fields; diff the transcripts "
-                        "of both runs to locate the leak)",
-                        lines.size());
-  }
-  throw StateError(msg);
+  throw StateError(util::format("restore diverged at t=%.9gvs: digest %016llx, snapshot %016llx",
+                                snap.at, static_cast<unsigned long long>(got),
+                                static_cast<unsigned long long>(snap.digest)));
 }
 
 }  // namespace mg::mc

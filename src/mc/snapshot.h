@@ -11,7 +11,7 @@
 // A digest mismatch on restore means the factory is NOT a pure function of
 // its plan (hidden global state, wall-clock leakage, unseeded randomness) —
 // exactly the bug class that would silently invalidate every explorer
-// result, surfaced loudly with a transcript diff.
+// result, surfaced loudly as a StateError.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,8 @@ struct Snapshot {
 Snapshot capture(const ScenarioRun& run, double at, const fault::FaultPlan& plan);
 
 /// Rebuild via `make`, replay to `snap.at`, and verify the digest. Throws
-/// mg::StateError on a mismatch, with the first diverging transcript lines
-/// in the message. The returned run is paused exactly at snap.at.
+/// mg::StateError on a mismatch, naming the time and both digests. The
+/// returned run is paused exactly at snap.at.
 std::unique_ptr<ScenarioRun> restore(const ScenarioFactory& make, const Snapshot& snap);
 
 }  // namespace mg::mc

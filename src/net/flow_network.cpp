@@ -511,27 +511,6 @@ double FlowEngine::linkUtilization(LinkId link) const {
   return linkBusySeconds(static_cast<std::size_t>(link), sim_.now()) / elapsed;
 }
 
-void FlowEngine::registerTelemetry(obs::TelemetrySampler& sampler) {
-  sampler.addLevel("net.flow.active",
-                   [this](std::int64_t) { return static_cast<double>(flows_.size()); });
-  sampler.addCounterRate("net.flow.completed_per_s", c_completed_);
-  sampler.addCounterRate("net.flow.bytes_per_s", c_bytes_);
-  const Topology& topo = model_.topology();
-  for (LinkId l = 0; l < topo.linkCount(); ++l) {
-    // Cumulative busy time in *kernel* seconds (linkBusySeconds reports
-    // network seconds), so the sampled rate is the fraction of kernel time
-    // the link carried >= 1 flow — utilization on the same clock as every
-    // other series. Clamping `now` up to an open interval's busy_since
-    // keeps the cumulative sum monotone.
-    sampler.addRate("net.flow.link_util." + topo.link(l).name, [this, l](std::int64_t t) {
-      const auto lid = static_cast<std::size_t>(l);
-      sim::SimTime now = t;
-      if (link_active_[lid] > 0 && link_busy_since_[lid] > now) now = link_busy_since_[lid];
-      return linkBusySeconds(lid, now) * model_.timeScale();
-    });
-  }
-}
-
 void FlowEngine::publishLinkGauges(std::size_t lid, sim::SimTime now) {
   if (g_link_busy_[lid] == nullptr) {
     const std::string& name = model_.topology().link(static_cast<LinkId>(lid)).name;
@@ -579,17 +558,33 @@ void FlowEngine::publishActiveGauges() {
   g_peak_.set(static_cast<double>(peak_active_));
 }
 
-void FlowEngine::saveState(obs::StateWriter& w) const {
-  w.u64("net.flow.active", flows_.size());
-  w.u64("net.flow.next_id", next_id_);
+void FlowEngine::inspect(obs::Inspector& in) const {
+  in.level("net.flow.active", static_cast<double>(flows_.size()));
+  in.total("net.flow.completed_per_s", static_cast<double>(c_completed_.value()));
+  in.total("net.flow.bytes_per_s", static_cast<double>(c_bytes_.value()));
+  const Topology& topo = model_.topology();
+  for (LinkId l = 0; l < topo.linkCount(); ++l) {
+    // Cumulative busy time in *kernel* seconds (linkBusySeconds reports
+    // network seconds), so the sampled rate is the fraction of kernel time
+    // the link carried >= 1 flow — utilization on the same clock as every
+    // other series. Clamping `now` up to an open interval's busy_since
+    // keeps the cumulative sum monotone.
+    const auto lid = static_cast<std::size_t>(l);
+    sim::SimTime now = in.now();
+    if (link_active_[lid] > 0 && link_busy_since_[lid] > now) now = link_busy_since_[lid];
+    in.total("net.flow.link_util.", topo.link(l).name,
+             linkBusySeconds(lid, now) * model_.timeScale());
+  }
+  if (!in.wantsFields()) return;
+  in.u64("net.flow.next_id", next_id_);
   for (const auto& [id, f] : flows_) {
-    w.u64("flow", id);
-    w.i64("src", f.src);
-    w.i64("dst", f.dst);
-    w.f64("remaining", f.remaining_bits);
-    w.f64("rate", f.rate_bps);
-    w.i64("integrated", f.last_integrated);
-    w.boolean("stalled", f.stalled);
+    in.u64("flow", id);
+    in.i64("src", f.src);
+    in.i64("dst", f.dst);
+    in.f64("remaining", f.remaining_bits);
+    in.f64("rate", f.rate_bps);
+    in.i64("integrated", f.last_integrated);
+    in.boolean("stalled", f.stalled);
   }
 }
 

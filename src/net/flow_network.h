@@ -115,12 +115,6 @@ class FlowEngine {
   /// the way down) and existing routes never change mid-flight.
   void onLinkChanged(LinkId link);
 
-  /// Time-resolved probes (DESIGN.md §9): net.flow.active (level),
-  /// net.flow.completed_per_s / bytes_per_s (rates), and one
-  /// net.flow.link_util.<name> utilization rate per topology link (fraction
-  /// of kernel time the link carried >= 1 flow, from the busy-time accrual).
-  void registerTelemetry(obs::TelemetrySampler& sampler);
-
   int activeFlows() const { return static_cast<int>(flows_.size()); }
   /// A flow's current max-min rate in bits/s; 0 when the id is not active
   /// (fairness oracles in tests).
@@ -136,10 +130,13 @@ class FlowEngine {
   bool indexConsistent() const;
   const FlowNetworkOptions& options() const { return opts_; }
 
-  /// Fold every active flow's dynamic state (remaining bits, rate, stall
-  /// flag, integration stamp) into `w` in ascending FlowId order
-  /// (DESIGN.md §10). Read-only.
-  void saveState(obs::StateWriter& w) const;
+  /// The fluid half's view (obs/inspector.h). Series: net.flow.active
+  /// (level), totals net.flow.completed_per_s / bytes_per_s, and one
+  /// net.flow.link_util.<name> total per topology link, busy kernel-seconds
+  /// (its rate is the fraction of kernel time the link carried >= 1 flow).
+  /// Fields: every active flow's dynamic state (remaining bits, rate, stall
+  /// flag, integration stamp) in ascending FlowId order. Read-only.
+  void inspect(obs::Inspector& in) const;
 
  private:
   struct Flow {
@@ -282,13 +279,9 @@ class FlowNetwork : public NetworkModel {
   /// mg::Error if a fault aborts the flow mid-transfer.
   sim::SimTime transfer(NodeId src, NodeId dst, std::int64_t bytes);
 
-  void registerTelemetry(obs::TelemetrySampler& sampler) override {
-    engine_.registerTelemetry(sampler);
-  }
-
-  void saveState(obs::StateWriter& w) const override {
-    NetworkModel::saveState(w);
-    engine_.saveState(w);
+  void inspect(obs::Inspector& in) const override {
+    NetworkModel::inspect(in);
+    engine_.inspect(in);
   }
 
  protected:

@@ -75,14 +75,9 @@ class HybridNetwork : public PacketNetwork {
 
   /// Both halves report: escalated traffic under net.packet.*, fluid flows
   /// under net.flow.* (the per-link series stay distinct by prefix).
-  void registerTelemetry(obs::TelemetrySampler& sampler) override {
-    PacketNetwork::registerTelemetry(sampler);
-    engine_.registerTelemetry(sampler);
-  }
-
-  void saveState(obs::StateWriter& w) const override {
-    PacketNetwork::saveState(w);
-    engine_.saveState(w);
+  void inspect(obs::Inspector& in) const override {
+    PacketNetwork::inspect(in);
+    engine_.inspect(in);
   }
 
  protected:

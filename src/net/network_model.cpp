@@ -100,21 +100,23 @@ void NetworkModel::applyLinkParams(LinkId link, const LinkParams& params) {
   recomputeRoutes();
 }
 
-void NetworkModel::saveState(obs::StateWriter& w) const {
-  w.u64("net.links", topo_.linkCount());
+void NetworkModel::inspect(obs::Inspector& in) const {
+  if (!in.wantsFields()) return;
+  in.key("net");
+  in.u64("net.links", topo_.linkCount());
   for (LinkId l = 0; l < topo_.linkCount(); ++l) {
     const Link& link = topo_.link(l);
-    w.str("link", link.name);
-    w.boolean("up", link.up);
-    w.f64("bw", link.bandwidth_bps);
-    w.i64("lat", link.latency);
-    w.f64("loss", link.loss_rate);
+    in.str("link", link.name);
+    in.boolean("up", link.up);
+    in.f64("bw", link.bandwidth_bps);
+    in.i64("lat", link.latency);
+    in.f64("loss", link.loss_rate);
   }
-  w.u64("net.nodes", topo_.nodeCount());
+  in.u64("net.nodes", topo_.nodeCount());
   for (NodeId n = 0; n < topo_.nodeCount(); ++n) {
     const Node& node = topo_.node(n);
-    w.str("node", node.name);
-    w.boolean("up", node.up);
+    in.str("node", node.name);
+    in.boolean("up", node.up);
   }
 }
 

@@ -18,7 +18,7 @@
 
 #include "net/packet.h"
 #include "net/topology.h"
-#include "obs/sampler.h"
+#include "obs/inspector.h"
 #include "sim/simulator.h"
 
 namespace mg::net {
@@ -107,21 +107,14 @@ class NetworkModel {
     return true;
   }
 
-  // --- telemetry surface (DESIGN.md §9) ---
+  // --- introspection (DESIGN.md §9, §10) ---
 
-  /// Register this model's time-resolved probes on `sampler`: per-link busy
-  /// utilization and whatever per-model health series apply (active flows,
-  /// wire throughput). Base: nothing.
-  virtual void registerTelemetry(obs::TelemetrySampler& sampler) { (void)sampler; }
-
-  // --- state-capture surface (DESIGN.md §10) ---
-
-  /// Fold the model's observable state into a canonical digest: the base
-  /// folds every link's up flag and live parameters plus every node's up
-  /// flag; models append their own dynamic state (queues, in-flight
-  /// packets, the loss RNG, fluid flows). Strictly read-only; call between
-  /// events.
-  virtual void saveState(obs::StateWriter& w) const;
+  /// The model's view (obs/inspector.h). The base has no series; its fields
+  /// are every link's up flag and live parameters plus every node's up
+  /// flag. Models add their series (per-link utilization, throughput,
+  /// active flows) and their dynamic state (queues, in-flight packets, the
+  /// loss RNG, fluid flows). Strictly read-only; call between events.
+  virtual void inspect(obs::Inspector& in) const;
 
  protected:
   friend class FlowEngine;

@@ -33,15 +33,6 @@ double PacketNetwork::linkBusyKernelSeconds(LinkId link, sim::SimTime t) const {
   return ns * 1e-9;
 }
 
-void PacketNetwork::registerTelemetry(obs::TelemetrySampler& sampler) {
-  sampler.addCounterRate("net.packet.delivered_per_s", c_delivered_);
-  sampler.addCounterRate("net.packet.wire_bytes_per_s", c_wire_bytes_);
-  for (LinkId l = 0; l < topo_.linkCount(); ++l) {
-    sampler.addRate("net.packet.link_util." + topo_.link(l).name,
-                    [this, l](std::int64_t t) { return linkBusyKernelSeconds(l, t); });
-  }
-}
-
 std::uint32_t PacketNetwork::parkInFlight(Packet&& pkt) {
   if (flight_free_.empty()) {
     flight_.push_back(std::move(pkt));
@@ -222,21 +213,27 @@ void PacketNetwork::onNodeDown(NodeId node) {
   }
 }
 
-void PacketNetwork::saveState(obs::StateWriter& w) const {
-  NetworkModel::saveState(w);
-  w.u64("net.packet.queues", link_queues_.size());
+void PacketNetwork::inspect(obs::Inspector& in) const {
+  in.total("net.packet.delivered_per_s", static_cast<double>(c_delivered_.value()));
+  in.total("net.packet.wire_bytes_per_s", static_cast<double>(c_wire_bytes_.value()));
+  for (LinkId l = 0; l < topo_.linkCount(); ++l) {
+    in.total("net.packet.link_util.", topo_.link(l).name, linkBusyKernelSeconds(l, in.now()));
+  }
+  NetworkModel::inspect(in);
+  if (!in.wantsFields()) return;
+  in.u64("net.packet.queues", link_queues_.size());
   for (std::size_t q = 0; q < link_queues_.size(); ++q) {
     const LinkQueue& lq = link_queues_[q];
     if (lq.queue.empty() && !lq.busy && lq.busy_ns == 0) continue;  // cold queue
-    w.u64("q", q);
-    w.u64("depth", lq.queue.size());
-    w.i64("bytes", lq.queued_bytes);
-    w.boolean("busy", lq.busy);
-    w.i64("busy_since", lq.busy_since);
-    w.i64("busy_ns", lq.busy_ns);
+    in.u64("q", q);
+    in.u64("depth", lq.queue.size());
+    in.i64("bytes", lq.queued_bytes);
+    in.boolean("busy", lq.busy);
+    in.i64("busy_since", lq.busy_since);
+    in.i64("busy_ns", lq.busy_ns);
   }
-  for (std::uint64_t word : rng_.fingerprint()) w.u64("rng", word);
-  w.u64("flight.in_use", flight_.size() - flight_free_.size());
+  for (std::uint64_t word : rng_.fingerprint()) in.u64("rng", word);
+  in.u64("flight.in_use", flight_.size() - flight_free_.size());
 }
 
 void PacketNetwork::validateLinkParams(LinkId /*link*/, const net::LinkParams& params) const {

@@ -50,16 +50,13 @@ class PacketNetwork : public NetworkModel {
   /// Kept for call-site compatibility; identical to net::LinkParams.
   using LinkParams = net::LinkParams;
 
-  /// Time-resolved probes (DESIGN.md §9): delivered/wire-byte rates plus
-  /// one net.packet.link_util.<name> series per link — the summed duplex
-  /// utilization (1.0 = one direction saturated, 2.0 = both), from the
-  /// per-direction busy-time accrual.
-  void registerTelemetry(obs::TelemetrySampler& sampler) override;
-
-  /// Base link/node state plus the packet machinery: per-direction queue
-  /// occupancy and busy accounting, in-flight pool occupancy, and the
-  /// loss-process RNG stream.
-  void saveState(obs::StateWriter& w) const override;
+  /// Series: totals net.packet.delivered_per_s and wire_bytes_per_s, plus
+  /// one net.packet.link_util.<name> total per link, busy kernel-seconds of
+  /// both directions (its rate is the summed duplex utilization: 1.0 = one
+  /// direction saturated, 2.0 = both). Fields: the base link/node state plus
+  /// per-direction queue occupancy and busy accounting, in-flight pool
+  /// occupancy, and the loss-process RNG stream.
+  void inspect(obs::Inspector& in) const override;
 
  protected:
   // Fault hooks (NetworkModel runs them between the state flip and the

@@ -635,32 +635,32 @@ void TcpStack::removeConnection(const TcpConnection& conn) {
 
 void TcpStack::removeListener(std::uint16_t port) { listeners_.erase(port); }
 
-void TcpStack::saveState(obs::StateWriter& w) const {
-  w.u64("net.tcp.open", connections_.size());
+void TcpStack::inspect(obs::Inspector& in) const {
+  in.u64("net.tcp.open", connections_.size());
   for (const auto& [key, conn] : connections_) {
-    w.u64("lport", key.local_port);
-    w.i64("rnode", key.remote_node);
-    w.u64("rport", key.remote_port);
-    w.u64("state", static_cast<std::uint64_t>(conn->state_));
-    w.boolean("error", conn->error_);
-    w.u64("snd_una", conn->snd_una_);
-    w.u64("snd_nxt", conn->snd_nxt_);
-    w.u64("rcv_nxt", conn->rcv_nxt_);
-    w.f64("cwnd", conn->cwnd_);
-    w.f64("ssthresh", conn->ssthresh_);
-    w.i64("peer_window", conn->peer_window_);
-    w.u64("send_buf", conn->send_buf_.size());
-    w.u64("recv_buf", conn->recv_buf_.size());
-    w.i64("ooo_bytes", conn->out_of_order_bytes_);
-    w.boolean("fin_queued", conn->fin_queued_);
-    w.boolean("fin_sent", conn->fin_sent_);
-    w.boolean("fin_acked", conn->fin_acked_);
-    w.boolean("peer_fin", conn->peer_fin_);
-    w.i64("rto", conn->rto_);
-    w.i64("srtt", conn->srtt_);
+    in.u64("lport", key.local_port);
+    in.i64("rnode", key.remote_node);
+    in.u64("rport", key.remote_port);
+    in.u64("state", static_cast<std::uint64_t>(conn->state_));
+    in.boolean("error", conn->error_);
+    in.u64("snd_una", conn->snd_una_);
+    in.u64("snd_nxt", conn->snd_nxt_);
+    in.u64("rcv_nxt", conn->rcv_nxt_);
+    in.f64("cwnd", conn->cwnd_);
+    in.f64("ssthresh", conn->ssthresh_);
+    in.i64("peer_window", conn->peer_window_);
+    in.u64("send_buf", conn->send_buf_.size());
+    in.u64("recv_buf", conn->recv_buf_.size());
+    in.i64("ooo_bytes", conn->out_of_order_bytes_);
+    in.boolean("fin_queued", conn->fin_queued_);
+    in.boolean("fin_sent", conn->fin_sent_);
+    in.boolean("fin_acked", conn->fin_acked_);
+    in.boolean("peer_fin", conn->peer_fin_);
+    in.i64("rto", conn->rto_);
+    in.i64("srtt", conn->srtt_);
   }
-  w.u64("net.tcp.listeners", listeners_.size());
-  for (const auto& [port, l] : listeners_) w.u64("port", port);
+  in.u64("net.tcp.listeners", listeners_.size());
+  for (const auto& [port, l] : listeners_) in.u64("port", port);
 }
 
 void TcpStack::abortAll(const std::string& why) {

@@ -236,10 +236,11 @@ class TcpStack {
   std::size_t openConnections() const { return connections_.size(); }
   std::size_t openListeners() const { return listeners_.size(); }
 
-  /// Fold the endpoint table into `w` (DESIGN.md §10): connection keys with
-  /// their transport-machine state (seq/ack/window/cwnd, buffered bytes,
-  /// FIN flags, RTO estimate) plus the open listener ports. Read-only.
-  void saveState(obs::StateWriter& w) const;
+  /// The endpoint table's view (obs/inspector.h), fields only: connection
+  /// keys with their transport-machine state (seq/ack/window/cwnd, buffered
+  /// bytes, FIN flags, RTO estimate) plus the open listener ports.
+  /// Read-only.
+  void inspect(obs::Inspector& in) const;
 
  private:
   friend class TcpConnection;

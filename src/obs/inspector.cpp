@@ -1,8 +1,6 @@
-#include "obs/state_capture.h"
+#include "obs/inspector.h"
 
 #include <cstring>
-
-#include "obs/metrics.h"
 
 namespace mg::obs {
 
@@ -12,14 +10,6 @@ void StateWriter::bytes(const void* data, std::size_t n) {
     hash_ ^= p[i];
     hash_ *= 0x100000001b3ull;  // FNV-1a prime
   }
-}
-
-void StateWriter::note(std::string_view name, std::string value) {
-  if (!keep_transcript_) return;
-  std::string line(name);
-  line += "=";
-  line += value;
-  transcript_.push_back(std::move(line));
 }
 
 void StateWriter::key(std::string_view name) {
@@ -32,13 +22,11 @@ void StateWriter::key(std::string_view name) {
 void StateWriter::u64(std::string_view name, std::uint64_t v) {
   key(name);
   bytes(&v, sizeof v);
-  note(name, std::to_string(v));
 }
 
 void StateWriter::i64(std::string_view name, std::int64_t v) {
   key(name);
   bytes(&v, sizeof v);
-  note(name, std::to_string(v));
 }
 
 void StateWriter::f64(std::string_view name, double v) {
@@ -47,11 +35,6 @@ void StateWriter::f64(std::string_view name, double v) {
   static_assert(sizeof bits == sizeof v);
   std::memcpy(&bits, &v, sizeof bits);
   bytes(&bits, sizeof bits);
-  note(name, formatDouble(v));
-}
-
-void StateWriter::boolean(std::string_view name, bool v) {
-  u64(name, v ? 1 : 0);
 }
 
 void StateWriter::str(std::string_view name, std::string_view v) {
@@ -59,30 +42,6 @@ void StateWriter::str(std::string_view name, std::string_view v) {
   bytes(v.data(), v.size());
   const unsigned char sep = 0xfe;
   bytes(&sep, 1);
-  note(name, std::string(v));
-}
-
-void StateCaptureRegistry::add(std::string name, CaptureFn fn) {
-  captures_[std::move(name)] = std::move(fn);
-}
-
-std::uint64_t StateCaptureRegistry::digest() const {
-  StateWriter w;
-  for (const auto& [name, fn] : captures_) {
-    w.key(name);
-    fn(w);
-  }
-  return w.digest();
-}
-
-std::vector<std::string> StateCaptureRegistry::transcript() const {
-  std::vector<std::string> out;
-  for (const auto& [name, fn] : captures_) {
-    StateWriter w(/*keep_transcript=*/true);
-    fn(w);
-    for (const auto& line : w.transcript()) out.push_back(name + "/" + line);
-  }
-  return out;
 }
 
 }  // namespace mg::obs

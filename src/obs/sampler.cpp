@@ -1,63 +1,68 @@
 #include "obs/sampler.h"
 
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace mg::obs {
 
 TelemetrySampler::TelemetrySampler(TimeSeriesRecorder& recorder, Host host, Options opts)
-    : recorder_(recorder), host_(std::move(host)), opts_(opts) {
+    : Inspector(/*now=*/0, /*wants_fields=*/false),
+      recorder_(recorder),
+      host_(std::move(host)),
+      opts_(opts) {
   if (opts_.interval_ns <= 0) throw UsageError("TelemetrySampler wants interval > 0");
   if (!host_.now || !host_.schedule_at || !host_.pending_events) {
     throw UsageError("TelemetrySampler host is missing a callable");
   }
 }
 
-void TelemetrySampler::addProbe(Probe p) {
-  if (started_) throw UsageError("TelemetrySampler probes must be registered before start()");
-  if (probes_.size() >= opts_.max_probes) {
-    ++dropped_probes_;
-    return;
-  }
-  probes_.push_back(std::move(p));
-}
-
-void TelemetrySampler::addLevel(std::string series, std::function<double(std::int64_t)> read) {
-  addProbe(Probe{std::move(series), std::move(read), /*rate=*/false, 0});
-}
-
-void TelemetrySampler::addRate(std::string series,
-                               std::function<double(std::int64_t)> cumulative) {
-  addProbe(Probe{std::move(series), std::move(cumulative), /*rate=*/true, 0});
-}
-
-void TelemetrySampler::addCounterRate(std::string series, const Counter& counter) {
-  addRate(std::move(series),
-          [&counter](std::int64_t) { return static_cast<double>(counter.value()); });
+void TelemetrySampler::addSubject(std::function<void(Inspector&)> inspect) {
+  if (started_) throw UsageError("TelemetrySampler subjects must be watched before start()");
+  subjects_.push_back(std::move(inspect));
 }
 
 void TelemetrySampler::start() {
   if (started_) throw UsageError("TelemetrySampler::start called twice");
   started_ = true;
   const std::int64_t t0 = host_.now();
-  // The t0 tick records every level at its initial value and primes the
-  // rate baselines (a rate's first recorded sample covers [t0, t0+interval]).
   collect(t0);
   scheduleNext(t0);
 }
 
+TelemetrySampler::Slot* TelemetrySampler::nextSlot(std::string_view series, bool& fresh) {
+  if (next_slot_ >= recorder_.maxSeries()) return nullptr;
+  const std::size_t i = next_slot_++;
+  if (i == slots_.size()) slots_.emplace_back();
+  Slot& slot = slots_[i];
+  fresh = slot.series != series;  // first seen, or the walk changed shape
+  if (fresh) slot = Slot{std::string(series)};
+  return &slot;
+}
+
+void TelemetrySampler::record(Slot& slot, double v) {
+  if (slot.rec == nullptr) slot.rec = recorder_.open(slot.series);
+  if (slot.rec != nullptr) recorder_.add(*slot.rec, now_, v);
+}
+
+void TelemetrySampler::level(std::string_view series, double v) {
+  bool fresh = false;
+  if (Slot* slot = nextSlot(series, fresh)) record(*slot, v);
+}
+
+void TelemetrySampler::total(std::string_view series, double cumulative) {
+  bool fresh = false;
+  Slot* slot = nextSlot(series, fresh);
+  if (slot == nullptr) return;
+  // A total new at this position only primes its baseline.
+  if (!fresh && dt_s_ > 0) record(*slot, (cumulative - slot->prev) / dt_s_);
+  slot->prev = cumulative;
+}
+
 void TelemetrySampler::collect(std::int64_t t) {
   if (t == last_tick_) return;  // finish() colliding with the final tick
-  const double dt_s = last_tick_ < 0 ? 0.0 : static_cast<double>(t - last_tick_) * 1e-9;
-  for (Probe& p : probes_) {
-    const double v = p.read(t);
-    if (p.rate) {
-      if (last_tick_ >= 0 && dt_s > 0) recorder_.add(p.series, t, (v - p.prev) / dt_s);
-      p.prev = v;
-    } else {
-      recorder_.add(p.series, t, v);
-    }
-  }
+  now_ = t;
+  dt_s_ = last_tick_ < 0 ? 0.0 : static_cast<double>(t - last_tick_) * 1e-9;
+  next_slot_ = 0;
+  for (const auto& inspect : subjects_) inspect(*this);
   last_tick_ = t;
   ++ticks_;
 }

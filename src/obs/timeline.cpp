@@ -34,23 +34,26 @@ void TimeSeriesRecorder::setBaseWidth(std::int64_t width_ns) {
   opts_.base_width_ns = width_ns;
 }
 
-TimeSeriesRecorder::Series& TimeSeriesRecorder::getOrCreate(std::string_view name) {
+TimeSeriesRecorder::Series* TimeSeriesRecorder::open(std::string_view name) {
   auto it = index_.find(name);
-  if (it != index_.end()) return *it->second;
+  if (it != index_.end()) return it->second;
+  if (index_.size() >= opts_.max_series) {
+    ++dropped_series_;
+    return nullptr;
+  }
   series_.emplace_back();
   Series& s = series_.back();
   s.name = std::string(name);
   s.width = opts_.base_width_ns;
   index_.emplace(s.name, &s);
-  return s;
+  return &s;
 }
 
 void TimeSeriesRecorder::add(std::string_view name, std::int64_t t, double v) {
-  if (index_.size() >= opts_.max_series && index_.find(name) == index_.end()) {
-    ++dropped_series_;
-    return;
-  }
-  Series& s = getOrCreate(name);
+  if (Series* s = open(name)) add(*s, t, v);
+}
+
+void TimeSeriesRecorder::add(Series& s, std::int64_t t, double v) {
   if (!s.started) {
     // Anchor bucket 0 on the first sample, aligned down to the width grid so
     // bucket bounds are round multiples (and widening keeps them so).

@@ -72,6 +72,13 @@ class TimeSeriesRecorder {
   /// Record value `v` for `series` at simulation time `t` (ns).
   void add(std::string_view series, std::int64_t t, double v);
 
+  /// The series named `name`, created on first use; nullptr (counted in
+  /// droppedSeries()) when it is new and max_series series exist already.
+  /// The pointer is stable, so a writer can look a series up once and
+  /// then add(*s, t, v) without the name lookup.
+  Series* open(std::string_view name);
+  void add(Series& s, std::int64_t t, double v);
+
   /// Lookup (nullptr when absent). The pointer is stable for the recorder's
   /// lifetime (series live in a deque).
   const Series* find(std::string_view series) const;
@@ -80,6 +87,7 @@ class TimeSeriesRecorder {
   std::vector<const Series*> seriesSorted() const;
 
   std::size_t seriesCount() const { return index_.size(); }
+  std::size_t maxSeries() const { return opts_.max_series; }
   std::int64_t sampleCount() const { return samples_; }
   std::int64_t droppedSeries() const { return dropped_series_; }
 
@@ -94,7 +102,6 @@ class TimeSeriesRecorder {
   std::string json() const;
 
  private:
-  Series& getOrCreate(std::string_view name);
   static void widen(Series& s);
 
   Options opts_;

@@ -230,32 +230,40 @@ void Simulator::runUntil(SimTime t) {
   runLoop(t, /*bounded=*/true);
 }
 
-void Simulator::saveState(obs::StateWriter& w) const {
-  w.i64("now", queue_.now);
-  w.u64("next_seq", queue_.next_seq);
-  w.u64("pending", queue_.heap.size());
+void Simulator::inspect(obs::Inspector& in) const {
+  in.total("sim.events_per_s", static_cast<double>(events_executed_.value()));
+  in.level("sim.pending_events", static_cast<double>(pendingEventCount()));
+  in.level("sim.arena_slots", static_cast<double>(eventArenaSlots()));
+  if (!in.wantsFields()) return;
+  in.key("sim");
+  in.i64("now", queue_.now);
+  in.u64("next_seq", queue_.next_seq);
+  in.u64("pending", queue_.heap.size());
   // The heap is only partially ordered; sort a copy of the ordering keys so
   // the digest does not depend on the internal layout (which varies with the
   // cancel history even between equivalent states).
   std::vector<detail::EventQueue::HeapEntry> entries = queue_.heap;
   std::sort(entries.begin(), entries.end(), detail::EventQueue::entryBefore);
   for (const auto& e : entries) {
-    w.i64("ev.t", e.time);
-    w.u64("ev.seq", e.seq);
+    in.i64("ev.t", e.time);
+    in.u64("ev.seq", e.seq);
   }
   std::vector<const Process*> procs;
   procs.reserve(live_processes_.size());
   for (const auto& [id, p] : live_processes_) procs.push_back(p);
   std::sort(procs.begin(), procs.end(),
             [](const Process* a, const Process* b) { return a->id_ < b->id_; });
-  w.u64("sim.live_processes", procs.size());
+  in.u64("sim.live_processes", procs.size());
   for (const Process* p : procs) {
-    w.u64("proc.id", p->id_);
-    w.str("proc.name", p->name_);
-    w.boolean("proc.suspended", p->suspended_);
-    w.boolean("proc.wake_pending", p->wake_pending_);
-    w.u64("proc.wait_epoch", p->wait_epoch_);
+    in.u64("proc.id", p->id_);
+    in.str("proc.name", p->name_);
+    in.boolean("proc.suspended", p->suspended_);
+    in.boolean("proc.wake_pending", p->wake_pending_);
+    in.u64("proc.wait_epoch", p->wait_epoch_);
   }
+  // The metrics snapshot is already canonical (sorted names, round-trip
+  // doubles), so its JSON carries every layer's counts into the digest.
+  in.str("obs.metrics", metrics_.snapshotJson());
 }
 
 // ------------------------------------------------------------- processes ---

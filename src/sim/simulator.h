@@ -25,7 +25,9 @@
 // keeps every count, spans() records timed events such as packet transits,
 // flows, quanta and faults (off by default), timeline() holds sampled series
 // and pulse() feeds the --progress monitor. None of them feeds back into
-// simulated state.
+// simulated state. inspect() is the kernel's one introspection walk
+// (obs/inspector.h): the --timeline sampler and the explorer's state digest
+// both read it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,7 @@
 
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/state_capture.h"
+#include "obs/inspector.h"
 #include "obs/span.h"
 #include "obs/timeline.h"
 #include "sim/event_fn.h"
@@ -262,12 +264,13 @@ class Simulator {
   /// executed slots are recycled through a free list.
   std::size_t eventArenaSlots() const { return queue_.slab.size(); }
 
-  /// Fold the kernel's observable state into a canonical digest (DESIGN.md
-  /// §10): the clock and sequence counter, every pending event's (time, seq)
+  /// The kernel's view (obs/inspector.h): series sim.events_per_s (total
+  /// of executed events), sim.pending_events and sim.arena_slots; fields
+  /// for the clock and sequence counter, every pending event's (time, seq)
   /// ordering key (sorted, so the fold is independent of the heap's internal
-  /// layout), and the live process table sorted by id. Strictly read-only;
-  /// call between events.
-  void saveState(obs::StateWriter& w) const;
+  /// layout), the live process table sorted by id, and the metrics snapshot
+  /// as JSON. Strictly read-only; call between events.
+  void inspect(obs::Inspector& in) const;
 
   /// The run-wide metrics registry: every layer attached to this simulator
   /// registers its counters here (names: `layer.component.counter`).

@@ -12,15 +12,4 @@ obs::TelemetrySampler::Host telemetryHost(Simulator& sim) {
   return host;
 }
 
-void registerKernelProbes(obs::TelemetrySampler& sampler, Simulator& sim) {
-  sampler.addCounterRate("sim.events_per_s",
-                         sim.metrics().counter("sim.kernel.events_executed"));
-  sampler.addLevel("sim.pending_events", [&sim](std::int64_t) {
-    return static_cast<double>(sim.pendingEventCount());
-  });
-  sampler.addLevel("sim.arena_slots", [&sim](std::int64_t) {
-    return static_cast<double>(sim.eventArenaSlots());
-  });
-}
-
 }  // namespace mg::sim

@@ -2,12 +2,8 @@
 //
 // obs sits below sim in the layering, so TelemetrySampler talks to the
 // kernel through a Host struct of callables; telemetryHost() is the one
-// place those bindings live.
-//
-// registerKernelProbes() adds the kernel's own series: events executed per
-// second, pending events, and event-arena occupancy — the "is the simulator
-// itself healthy" view next to the per-resource probes the net/vos/econ
-// layers register.
+// place those bindings live. The kernel's own series (sim.events_per_s,
+// sim.pending_events, sim.arena_slots) come from Simulator::inspect.
 #pragma once
 
 #include "obs/sampler.h"
@@ -18,9 +14,5 @@ namespace mg::sim {
 /// The sampler's kernel surface bound to `sim`. The Simulator must outlive
 /// any sampler built on the returned host.
 obs::TelemetrySampler::Host telemetryHost(Simulator& sim);
-
-/// Kernel health probes: sim.events_per_s (rate of
-/// sim.kernel.events_executed), sim.pending_events, sim.arena_slots.
-void registerKernelProbes(obs::TelemetrySampler& sampler, Simulator& sim);
 
 }  // namespace mg::sim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/sampler.h"
-
 namespace mg::vos {
 
 namespace {
@@ -208,41 +206,36 @@ void CpuScheduler::scheduleNext() {
   });
 }
 
-void CpuScheduler::registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label) {
-  sampler.addRate("vos.cpu.util." + label, [this](std::int64_t t) {
-    double busy = busy_wall_s_;
-    if (running_) {
-      // Open slice, closed against the sampler's clock.
-      const sim::SimTime end = std::min<sim::SimTime>(t, busy_until_);
-      if (end > busy_start_) busy += sim::toSeconds(end - busy_start_);
-    }
-    return busy;
-  });
-  sampler.addLevel("vos.runq." + label, [this](std::int64_t) {
-    double n = 0;
-    for (const Task& task : tasks_) {
-      if (task.live && task.demand > kEps) ++n;
-    }
-    return n;
-  });
-}
-
-void CpuScheduler::saveState(obs::StateWriter& w) const {
-  w.u64("vos.sched.tasks", tasks_.size());
-  for (const Task& t : tasks_) {
-    w.str("task", t.name);
-    w.boolean("live", t.live);
-    w.f64("fraction", t.fraction);
-    w.f64("used_cpu", t.used_cpu);
-    w.f64("demand", t.demand);
-    w.boolean("waiting", t.waiter != nullptr);
+void CpuScheduler::inspect(obs::Inspector& in, std::string_view label) const {
+  double busy = busy_wall_s_;
+  if (running_) {
+    // Open slice, closed against the inspection clock.
+    const sim::SimTime end = std::min<sim::SimTime>(in.now(), busy_until_);
+    if (end > busy_start_) busy += sim::toSeconds(end - busy_start_);
   }
-  w.u64("rr_next", rr_next_);
-  w.boolean("running", running_);
-  w.f64("busy_wall_s", busy_wall_s_);
-  w.i64("busy_start", busy_start_);
-  w.i64("busy_until", busy_until_);
-  for (std::uint64_t word : rng_.fingerprint()) w.u64("rng", word);
+  in.total("vos.cpu.util.", label, busy);
+  double runq = 0;
+  for (const Task& task : tasks_) {
+    if (task.live && task.demand > kEps) ++runq;
+  }
+  in.level("vos.runq.", label, runq);
+  if (!in.wantsFields()) return;
+  in.key(label);
+  in.u64("vos.sched.tasks", tasks_.size());
+  for (const Task& t : tasks_) {
+    in.str("task", t.name);
+    in.boolean("live", t.live);
+    in.f64("fraction", t.fraction);
+    in.f64("used_cpu", t.used_cpu);
+    in.f64("demand", t.demand);
+    in.boolean("waiting", t.waiter != nullptr);
+  }
+  in.u64("rr_next", rr_next_);
+  in.boolean("running", running_);
+  in.f64("busy_wall_s", busy_wall_s_);
+  in.i64("busy_start", busy_start_);
+  in.i64("busy_until", busy_until_);
+  for (std::uint64_t word : rng_.fingerprint()) in.u64("rng", word);
 }
 
 }  // namespace mg::vos

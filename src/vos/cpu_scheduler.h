@@ -19,14 +19,11 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "util/rng.h"
-
-namespace mg::obs {
-class TelemetrySampler;
-}
 
 namespace mg::vos {
 
@@ -91,16 +88,14 @@ class CpuScheduler {
   const std::vector<double>& quantaLog() const { return quanta_log_; }
   void clearQuantaLog() { quanta_log_.clear(); }
 
-  /// Time-resolved probes (DESIGN.md §9): vos.cpu.util.<label> — fraction
-  /// of wall time this scheduler's physical CPU spent occupied by quanta —
-  /// and vos.runq.<label>, live tasks with pending demand.
-  void registerTelemetry(obs::TelemetrySampler& sampler, const std::string& label);
-
-  /// Fold the scheduler's dynamic state into `w` (DESIGN.md §10): the task
-  /// table in slot order (name, fraction, consumed CPU, pending demand,
-  /// liveness), the round-robin cursor, the jitter RNG stream, and the
-  /// busy-time accrual. Read-only.
-  void saveState(obs::StateWriter& w) const;
+  /// The scheduler's view (obs/inspector.h), named by the physical
+  /// machine `label` it runs. Series: vos.cpu.util.<label>, a total of busy
+  /// wall-seconds (its rate is the fraction of wall time the physical CPU
+  /// spent occupied by quanta), and vos.runq.<label>, live tasks with
+  /// pending demand. Fields: the task table in slot order (name, fraction,
+  /// consumed CPU, pending demand, liveness), the round-robin cursor, the
+  /// jitter RNG stream, and the busy-time accrual. Read-only.
+  void inspect(obs::Inspector& in, std::string_view label) const;
 
  private:
   struct Task {

@@ -2,6 +2,7 @@
 // policies, broker placement, and the end-to-end event-driven economy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "econ/grid_gen.h"
 #include "econ/workload.h"
 #include "gis/directory.h"
+#include "obs/sampler.h"
+#include "sim/telemetry.h"
 #include "util/config.h"
 
 #include "test_scenarios.h"
@@ -334,6 +337,51 @@ TEST(Economy, ClusterCrashResubmitsInFlightJobs) {
   // forced at least one broker-level resubmission.
   EXPECT_EQ(r.completed + r.failed + r.rejected_budget + r.rejected_unplaceable, r.submitted);
   EXPECT_GT(r.resubmits, 0);
+}
+
+namespace {
+
+/// A small economy sampled at 10 s; returns the timeline CSV.
+std::string sampledEconomyCsv() {
+  const econ::EconGrid grid = econ::makeEconGrid(smallGrid());
+  core::MicroGridOptions mopts;
+  mopts.netmodel = net::NetModelKind::Flow;
+  mopts.rate_override = 1.0;
+  core::MicroGridPlatform platform(grid.grid, mopts);
+  econ::EconOptions eopts;
+  eopts.workload = smallWorkload(200);
+  econ::GridEconomy economy(platform, grid, eopts);
+  economy.arm();
+  sim::Simulator& sim = platform.simulator();
+  sim.timeline().setBaseWidth(sim::fromSeconds(10));
+  obs::TelemetrySampler::Options sopts;
+  sopts.interval_ns = sim::fromSeconds(10);
+  obs::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), sopts);
+  platform.registerTelemetry(sampler);
+  sampler.watch(economy);
+  sampler.start();
+  platform.run();
+  sampler.finish();
+
+  const obs::TimeSeriesRecorder& tl = sim.timeline();
+  for (const char* name : {"econ.active_jobs", "econ.queue.depth.c0",
+                           "econ.broker.view_backlog_s.c0"}) {
+    const auto* s = tl.find(name);
+    EXPECT_NE(s, nullptr) << name;
+    if (s == nullptr) continue;
+    double peak = 0;
+    for (const auto& b : s->buckets) peak = std::max(peak, b.max);
+    EXPECT_GT(peak, 0.0) << name << " never moved";
+  }
+  return tl.csv();
+}
+
+}  // namespace
+
+TEST(Economy, SampledSeriesAreByteIdenticalAcrossSameSeedRuns) {
+  const std::string a = sampledEconomyCsv();
+  EXPECT_NE(a.find("\necon.submitted_per_s,"), std::string::npos);
+  EXPECT_EQ(a, sampledEconomyCsv());
 }
 
 TEST(Economy, GridGeneratorShapesAndPolicyParse) {

@@ -1,7 +1,8 @@
-// Tests for the observability subsystem: the metrics registry, the trace
-// bus, causal span tracing, and the end-to-end wiring of all three through
-// the MicroGrid platform (ISSUE: every layer's accounting flows into one
-// snapshot, and same-seed runs produce byte-identical observability output).
+// Tests for the observability subsystem: the metrics registry, causal span
+// tracing, the timeline and the inspect() sampler, and their end-to-end
+// wiring through the MicroGrid platform (every layer's accounting flows into
+// one snapshot, and same-seed runs produce byte-identical observability
+// output).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -732,6 +733,22 @@ TEST(Timeline, CsvAndJsonAreByteStable) {
   EXPECT_EQ(rec.json(), json);
 }
 
+namespace {
+
+/// A hand-written inspect() subject: one total "r" and one level "l", plus a
+/// field the sampler must ignore.
+struct Gauges {
+  double cum = 0;
+  double level = 0;
+  void inspect(mo::Inspector& in) const {
+    in.total("r", cum);
+    in.level("l", level);
+    in.u64("ignored", 1);
+  }
+};
+
+}  // namespace
+
 TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   sim::Simulator sim;
   sim.timeline().setBaseWidth(sim::kSecond);
@@ -739,12 +756,10 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   so.interval_ns = sim::kSecond;
   mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
 
-  double cum = 0;
-  double level = 0;
-  sampler.addRate("r", [&cum](std::int64_t) { return cum; });
-  sampler.addLevel("l", [&level](std::int64_t) { return level; });
-  sim.scheduleAt(sim::fromSeconds(0.25), [&] { cum += 2.0; level = 7; });
-  sim.scheduleAt(sim::fromSeconds(1.5), [&] { cum += 3.0; level = 9; });
+  Gauges g;
+  sampler.watch(g);
+  sim.scheduleAt(sim::fromSeconds(0.25), [&] { g.cum += 2.0; g.level = 7; });
+  sim.scheduleAt(sim::fromSeconds(1.5), [&] { g.cum += 3.0; g.level = 9; });
   sim.scheduleAt(sim::fromSeconds(3.0), [] {});
 
   sampler.start();
@@ -755,10 +770,11 @@ TEST(Sampler, LevelsAndRatesOverSimulatorTicks) {
   // last real event.
   EXPECT_EQ(sim.now(), sim::fromSeconds(3.0));
   EXPECT_EQ(sampler.ticks(), 4);
+  EXPECT_EQ(sim.timeline().seriesCount(), 2u);  // fields are not series
 
   const auto* r = sim.timeline().find("r");
   ASSERT_NE(r, nullptr);
-  // The t=0 baseline only primes the cumulative, so the first rate sample —
+  // The t=0 baseline only primes the total, so the first rate sample —
   // and the series origin — land at the 1 s tick.
   EXPECT_EQ(r->origin, sim::kSecond);
   ASSERT_EQ(r->buckets.size(), 3u);
@@ -781,7 +797,7 @@ TEST(Sampler, CounterRateAndKernelProbes) {
   mo::TelemetrySampler::Options so;
   so.interval_ns = 100 * sim::kMillisecond;
   mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), so);
-  sim::registerKernelProbes(sampler, sim);
+  sampler.watch(sim);  // the kernel's own inspect(): sim.* series
 
   for (int i = 1; i <= 20; ++i) {
     sim.scheduleAt(i * 25 * sim::kMillisecond, [] {});
@@ -794,7 +810,7 @@ TEST(Sampler, CounterRateAndKernelProbes) {
   ASSERT_NE(ev, nullptr);
   double max_rate = 0;
   for (const auto& b : ev->buckets) max_rate = std::max(max_rate, b.max);
-  EXPECT_GT(max_rate, 0.0);  // events really flowed through the rate probe
+  EXPECT_GT(max_rate, 0.0);  // events really flowed through the total
   EXPECT_NE(sim.timeline().find("sim.pending_events"), nullptr);
   EXPECT_NE(sim.timeline().find("sim.arena_slots"), nullptr);
 }
@@ -802,13 +818,131 @@ TEST(Sampler, CounterRateAndKernelProbes) {
 TEST(Sampler, ProbesAfterStartThrowAndFinishIsIdempotent) {
   sim::Simulator sim;
   mo::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim));
-  sampler.addLevel("l", [](std::int64_t) { return 1.0; });
+  Gauges g;
+  g.level = 1;
+  sampler.watch(g);
   sampler.start();
-  EXPECT_THROW(sampler.addLevel("m", [](std::int64_t) { return 2.0; }), mg::UsageError);
+  EXPECT_THROW(sampler.watch(g), mg::UsageError);
   EXPECT_THROW(sampler.start(), mg::UsageError);
   sampler.finish();
   sampler.finish();  // same-timestamp collect is skipped, not double-counted
-  EXPECT_EQ(sim.timeline().sampleCount(), 1);
+  EXPECT_EQ(sim.timeline().sampleCount(), 1);  // the level's baseline only
+}
+
+TEST(Sampler, KeepsTheFirstMaxSeriesOfTheWalk) {
+  // Totals record nothing at the baseline tick, so a recorder-side cap alone
+  // would let a later level claim a slot at t0; the sampler's cap counts the
+  // walk's series in order instead.
+  struct Walk {
+    void inspect(mo::Inspector& in) const {
+      in.total("a", 1.0 * sim::toSeconds(in.now()));
+      in.total("b", 2.0 * sim::toSeconds(in.now()));
+      in.level("c", 3.0);
+    }
+  };
+  sim::Simulator sim;
+  mo::TimeSeriesRecorder rec(tinyRecorder(16, sim::kSecond, /*max_series=*/2));
+  mo::TelemetrySampler::Options so;
+  so.interval_ns = sim::kSecond;
+  mo::TelemetrySampler sampler(rec, sim::telemetryHost(sim), so);
+  Walk walk;
+  sampler.watch(walk);
+  sim.scheduleAt(sim::fromSeconds(2.0), [] {});
+  sampler.start();
+  sim.run();
+  sampler.finish();
+  EXPECT_EQ(rec.seriesCount(), 2u);
+  ASSERT_NE(rec.find("a"), nullptr);
+  ASSERT_NE(rec.find("b"), nullptr);
+  EXPECT_EQ(rec.find("c"), nullptr);
+  EXPECT_DOUBLE_EQ(rec.find("b")->buckets.back().last, 2.0);  // a rate, not the total
+  EXPECT_EQ(rec.droppedSeries(), 0);
+}
+
+TEST(Inspector, StateWriterFoldsSeriesAndFields) {
+  auto digestOf = [](const Gauges& g, std::int64_t now) {
+    mo::StateWriter w(now);
+    g.inspect(w);
+    return w.digest();
+  };
+  Gauges g;
+  const std::uint64_t base = digestOf(g, 0);
+  EXPECT_EQ(digestOf(g, 0), base);  // deterministic
+  Gauges moved = g;
+  moved.level = 1;  // a level is folded
+  EXPECT_NE(digestOf(moved, 0), base);
+  moved = g;
+  moved.cum = 1;  // so is a total
+  EXPECT_NE(digestOf(moved, 0), base);
+
+  // Keys are folded with a separator: ("ab","c") differs from ("a","bc").
+  mo::StateWriter x(0), y(0);
+  x.str("ab", "c");
+  y.str("a", "bc");
+  EXPECT_NE(x.digest(), y.digest());
+  // A prefix + suffix name folds exactly like the joined name.
+  mo::StateWriter joined(0), split(0);
+  joined.level("net.link_util.eth0", 0.5);
+  split.level("net.link_util.", "eth0", 0.5);
+  EXPECT_EQ(joined.digest(), split.digest());
+}
+
+namespace {
+
+/// Sorted series names of an EP run on the Alpha cluster under `kind`,
+/// sampled at 50 ms.
+std::vector<std::string> alphaSeries(net::NetModelKind kind,
+                                     std::vector<std::string> detail = {}) {
+  mgtest::HarnessOptions hopts;
+  hopts.platform.netmodel = kind;
+  hopts.platform.netmodel_detail = std::move(detail);
+  mgtest::LauncherHarness h(hopts);
+  sim::Simulator& sim = h.platform.simulator();
+  npb::ResultSink sink;
+  npb::registerNpb(h.registry, sink);
+  sim.timeline().setBaseWidth(50 * sim::kMillisecond);
+  obs::TelemetrySampler::Options sopts;
+  sopts.interval_ns = 50 * sim::kMillisecond;
+  obs::TelemetrySampler sampler(sim.timeline(), sim::telemetryHost(sim), sopts);
+  h.platform.registerTelemetry(sampler);
+  sampler.start();
+  const auto result = h.launcher.run("npb.ep", "S", mgtest::LauncherHarness::fourRanks());
+  EXPECT_TRUE(result.ok) << result.error;
+  sampler.finish();
+  std::vector<std::string> names;
+  for (const auto* s : sim.timeline().seriesSorted()) names.push_back(s->name);
+  return names;
+}
+
+}  // namespace
+
+// Each network model's inspect() walk yields a fixed series set; hybrid
+// carries both halves (net.packet.* for escalated traffic, net.flow.* for
+// the fluid rest).
+TEST(SamplerSeries, AlphaClusterSeriesPerNetworkModel) {
+  const std::vector<std::string> common = {
+      "grid.batch.depth", "sim.arena_slots", "sim.events_per_s", "sim.pending_events",
+      "vos.cpu.util.alpha0", "vos.cpu.util.alpha1", "vos.cpu.util.alpha2",
+      "vos.cpu.util.alpha3", "vos.runq.alpha0", "vos.runq.alpha1", "vos.runq.alpha2",
+      "vos.runq.alpha3"};
+  auto with = [&common](std::vector<std::string> net) {
+    net.insert(net.end(), common.begin(), common.end());
+    std::sort(net.begin(), net.end());
+    return net;
+  };
+  const std::vector<std::string> packet = {
+      "net.packet.delivered_per_s", "net.packet.link_util.eth0", "net.packet.link_util.eth1",
+      "net.packet.link_util.eth2", "net.packet.link_util.eth3", "net.packet.wire_bytes_per_s"};
+  const std::vector<std::string> flow = {
+      "net.flow.active", "net.flow.bytes_per_s", "net.flow.completed_per_s",
+      "net.flow.link_util.eth0", "net.flow.link_util.eth1", "net.flow.link_util.eth2",
+      "net.flow.link_util.eth3"};
+  std::vector<std::string> hybrid = packet;
+  hybrid.insert(hybrid.end(), flow.begin(), flow.end());
+
+  EXPECT_EQ(alphaSeries(net::NetModelKind::Packet), with(packet));
+  EXPECT_EQ(alphaSeries(net::NetModelKind::Flow), with(flow));
+  EXPECT_EQ(alphaSeries(net::NetModelKind::Hybrid, {"host:vm0*"}), with(hybrid));
 }
 
 TEST(TraceExport, TimelineSeriesBecomeCounterTracks) {

@@ -77,6 +77,7 @@ struct HarnessOptions {
   bool spans = false;
   int max_resubmits = 3;
   std::string config_name = "Alpha4";
+  mg::core::MicroGridOptions platform;
 };
 
 /// The Alpha cluster behind a started Launcher (GIS + gatekeepers up), with
@@ -85,7 +86,7 @@ struct HarnessOptions {
 struct LauncherHarness {
   explicit LauncherHarness(const HarnessOptions& o = {})
       : cfg(mg::core::topologies::alphaCluster()),
-        platform(cfg),
+        platform(cfg, o.platform),
         launcher(platform, registry) {
     if (o.spans) platform.simulator().spans().setEnabled(true);
     launcher.startServices(&cfg, o.config_name);
