@@ -12,8 +12,10 @@
 //   --exe NAME         registered executable (see --list-executables)
 //   --args "..."       arguments passed to the job
 //   --parts H:N,...    allocation parts (default: one rank per host)
-//   --quantum MS       scheduler quantum in milliseconds (default 10)
-//   --slowdown N       run the emulation N times slower (default 1)
+//   --quantum MS       scheduler quantum in milliseconds (default 10;
+//                      mgrid only)
+//   --slowdown N       run the emulation N times slower (default 1; mgrid
+//                      only)
 //   --netmodel M       network model (mgrid only): packet (default, per-hop
 //                      store-and-forward), flow (max-min fair fluid flows,
 //                      one event per flow state change — orders of magnitude
@@ -21,6 +23,7 @@
 //                      default, packet detail where --netmodel-detail says)
 //   --netmodel-detail P,P,...  hybrid escalation selectors: host:GLOB (or a
 //                      bare hostname glob), port:N, port:LO-HI; repeatable
+//                      (mgrid only)
 //   --faults FILE      fault schedule ([fault ...] sections; mgrid only).
 //                      [fault ...] sections in --config are picked up too.
 //   --explore FILE     model-checking mode (mgrid only): FILE
@@ -74,7 +77,8 @@
 // flag value must be a whole, finite number in the flag's range; anything
 // else, like an unknown flag, exits 2 with a message naming the flag. So
 // does a flag the chosen mode (--list-executables, --workload, --explore,
-// or a single run) never reads.
+// or a single run) or platform never reads, and an --exe that names no
+// registered executable.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -320,6 +324,12 @@ int main(int argc, char** argv) {
     apps::WaveToySink wavetoy_sink;
     npb::registerNpb(registry, npb_sink);
     apps::registerWaveToy(registry, wavetoy_sink);
+    // Checked once for every mode: a job that cannot launch would otherwise
+    // fail late (single run) or count as a finished schedule (--explore).
+    if (!registry.contains(opt.exe)) {
+      throw mg::UsageError("--exe " + opt.exe +
+                           " is not a registered executable (see --list-executables)");
+    }
     if (opt.list) {
       requireReadBy(opt, "--list-executables", {"--list-executables"});
       std::cout << "registered executables:\n";
@@ -462,8 +472,12 @@ int main(int argc, char** argv) {
       mgrid = p.get();
       platform = std::move(p);
     } else if (opt.platform == "pgrid") {
-      if (!opt.netmodel.empty()) {
-        throw mg::UsageError("--netmodel needs --platform mgrid (pgrid is always flow-level)");
+      // The reference model has no scheduler quantum, emulation rate or
+      // network model to choose (it is always flow-level).
+      for (const char* flag : {"--netmodel", "--netmodel-detail", "--quantum", "--slowdown"}) {
+        if (opt.given.count(flag) > 0) {
+          throw mg::UsageError(std::string(flag) + " needs --platform mgrid");
+        }
       }
       platform = std::make_unique<core::ReferencePlatform>(cfg);
       std::cout << "reference (physical grid) platform\n";

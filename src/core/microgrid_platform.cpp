@@ -57,7 +57,7 @@ class MicroGridPlatform::HybridListener : public vos::Listener {
   HybridListener(MicroGridPlatform& p, HostRt& rt, std::uint16_t port)
       : p_(p),
         unified_(std::make_shared<sim::Channel<std::shared_ptr<vos::StreamSocket>>>(p.sim_)) {
-    tcp_ = rt.stack->tcp().listen(port);
+    tcp_ = rt.tcp->listen(port);
     flow_ = p.flow_table_->listen(rt.info->node, port,
                                   [ch = unified_](std::shared_ptr<vos::StreamSocket> s) {
                                     if (!ch->closed()) ch->send(std::move(s));
@@ -141,7 +141,7 @@ class MicroGridPlatform::MgContext : public vos::HostContext {
   std::shared_ptr<vos::Listener> listen(std::uint16_t port) override {
     switch (p_.opts_.netmodel) {
       case net::NetModelKind::Packet:
-        return std::make_shared<MgListener>(p_, rt_.stack->tcp().listen(port));
+        return std::make_shared<MgListener>(p_, rt_.tcp->listen(port));
       case net::NetModelKind::Flow:
         return p_.flow_table_->listen(rt_.info->node, port);
       case net::NetModelKind::Hybrid:
@@ -158,7 +158,7 @@ class MicroGridPlatform::MgContext : public vos::HostContext {
     if (p_.opts_.netmodel == net::NetModelKind::Packet ||
         (p_.opts_.netmodel == net::NetModelKind::Hybrid &&
          p_.net_->escalate(rt_.info->node, target.node, port))) {
-      return std::make_shared<MgSocket>(p_, rt_.stack->tcp().connect(target.node, port));
+      return std::make_shared<MgSocket>(p_, rt_.tcp->connect(target.node, port));
     }
     return p_.flow_table_->connect(rt_.info->node, target.node, port);
   }
@@ -245,9 +245,9 @@ MicroGridPlatform::MicroGridPlatform(const VirtualGridConfig& cfg, MicroGridOpti
   for (const auto& host : mapper_.hosts()) {
     HostRt rt;
     rt.info = &host;
-    // Transport stacks exist only where packets can arrive; pure flow mode
+    // TCP stacks exist only where packets can arrive; pure flow mode
     // has no per-segment machinery at all.
-    if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, host.node, opts_.tcp);
+    if (packet_ != nullptr) rt.tcp = std::make_unique<net::TcpStack>(*net_, host.node, opts_.tcp);
     rt.mem = std::make_unique<vos::MemoryManager>(host.memory_bytes, &sim_.metrics());
     rt.sched = schedulers_.at(host.physical_host).get();
     const double phys_ops = cfg.physical(host.physical_host).cpu_ops;
@@ -289,7 +289,7 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
   // onto the wire before the blackhole closes behind them. Flow-mode
   // connections get the same dying gasp: every socket touching the node
   // resets immediately.
-  if (rt.stack) rt.stack->tcp().abortAll("host " + hostname + " crashed");
+  if (rt.tcp) rt.tcp->abortAll("host " + hostname + " crashed");
   if (flow_table_) flow_table_->crashNode(rt.info->node);
   // Kill every process; each unwinds synchronously, releasing its memory
   // lease and scheduler slot. Finished (possibly reaped) ids are no-ops.
@@ -297,16 +297,16 @@ void MicroGridPlatform::crashHost(const std::string& hostname) {
   procs.swap(rt.procs);
   for (std::uint64_t id : procs) sim_.killProcessById(id);
   net_->setNodeUp(rt.info->node, false);
-  if (rt.stack) {
+  if (rt.tcp) {
     net_->attachHost(rt.info->node, nullptr);  // the stack is about to die
-    rt.stack.reset();
+    rt.tcp.reset();
   }
 }
 
 void MicroGridPlatform::restartHost(const std::string& hostname) {
   HostRt& rt = hostRt(hostname);
   if (rt.alive) return;
-  if (packet_ != nullptr) rt.stack = std::make_unique<net::HostStack>(*net_, rt.info->node, opts_.tcp);
+  if (packet_ != nullptr) rt.tcp = std::make_unique<net::TcpStack>(*net_, rt.info->node, opts_.tcp);
   net_->setNodeUp(rt.info->node, true);
   rt.alive = true;
   MG_LOG_INFO("core") << "restart " << hostname;
@@ -354,14 +354,14 @@ void MicroGridPlatform::inspect(obs::Inspector& in) const {
     in.f64("host_fraction", rt.host_fraction);
     in.u64("tasks", rt.tasks.size());
     if (rt.mem) in.i64("mem_used", rt.mem->used());
-    if (rt.stack) rt.stack->tcp().inspect(in);
+    if (rt.tcp) rt.tcp->inspect(in);
   }
 }
 
 std::size_t MicroGridPlatform::openTcpConnections() {
   std::size_t n = 0;
   for (const auto& [name, rt] : hosts_) {
-    if (rt.stack) n += rt.stack->tcp().openConnections();
+    if (rt.tcp) n += rt.tcp->openConnections();
   }
   return n;
 }

@@ -18,9 +18,9 @@
 #include "core/flow_socket.h"
 #include "core/platform.h"
 #include "core/virtual_grid.h"
-#include "net/host_stack.h"
 #include "net/hybrid_network.h"
 #include "net/packet_network.h"
+#include "net/tcp.h"
 #include "vos/cpu_scheduler.h"
 #include "vos/memory.h"
 #include "vos/virtual_time.h"
@@ -100,7 +100,7 @@ class MicroGridPlatform : public Platform {
   void registerTelemetry(obs::TelemetrySampler& sampler) const;
 
   /// TCP connections still open (neither fully closed nor reset), summed
-  /// over every live host stack. A crashed host's stack died with its
+  /// over every live host's TCP stack. A crashed host's stack died with its
   /// connections (they were reset), so it contributes zero — this is the
   /// "all sockets closed or reset" invariant surface.
   std::size_t openTcpConnections();
@@ -133,7 +133,7 @@ class MicroGridPlatform : public Platform {
 
   struct HostRt {
     const vos::VirtualHostInfo* info = nullptr;
-    std::unique_ptr<net::HostStack> stack;
+    std::unique_ptr<net::TcpStack> tcp;  // packet machinery only
     std::unique_ptr<vos::MemoryManager> mem;
     vos::CpuScheduler* sched = nullptr;
     double host_fraction = 0;  // of the physical CPU, for all its processes

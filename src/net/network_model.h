@@ -1,6 +1,6 @@
 // The pluggable network-model interface (DESIGN.md §7).
 //
-// Transports (HostStack/TCP/UDP), the platforms, and fault injection talk to
+// The TCP transport, the platforms, and fault injection talk to
 // a NetworkModel, not to a concrete simulator: the same wiring runs at
 // packet-level detail (PacketNetwork), as a max-min fair fluid model
 // (FlowNetwork), or as a hybrid that escalates selected traffic to packet

@@ -47,11 +47,6 @@ struct Packet {
   std::uint64_t ack = 0;  // next expected stream offset (valid with kFlagAck)
   std::int64_t window = 0;  // advertised receive window, bytes
 
-  // UDP fields.
-  std::uint32_t datagram_id = 0;   // which datagram a fragment belongs to
-  std::uint16_t fragment = 0;      // fragment index within the datagram
-  std::uint16_t fragment_count = 1;
-
   std::vector<std::uint8_t> payload;
 
   // Causal-trace context (obs::SpanId; 0 = untraced). `span` is the

@@ -236,7 +236,7 @@ void PacketNetwork::inspect(obs::Inspector& in) const {
   in.u64("flight.in_use", flight_.size() - flight_free_.size());
 }
 
-void PacketNetwork::validateLinkParams(LinkId /*link*/, const net::LinkParams& params) const {
+void PacketNetwork::validateLinkParams(LinkId /*link*/, const LinkParams& params) const {
   // Per-segment serialization time divides by bandwidth, so the packet
   // pipeline (and the hybrid model, which inherits this check for its
   // escalated traffic) cannot express a fully-starved link; only the pure

@@ -47,9 +47,6 @@ class PacketNetwork : public NetworkModel {
   /// queues; delivery invokes the destination node's handler.
   void send(Packet&& pkt) override;
 
-  /// Kept for call-site compatibility; identical to net::LinkParams.
-  using LinkParams = net::LinkParams;
-
   /// Series: totals net.packet.delivered_per_s and wire_bytes_per_s, plus
   /// one net.packet.link_util.<name> total per link, busy kernel-seconds of
   /// both directions (its rate is the summed duplex utilization: 1.0 = one
@@ -67,7 +64,7 @@ class PacketNetwork : public NetworkModel {
   // established peers).
   void onLinkDown(LinkId link) override;
   void onNodeDown(NodeId node) override;
-  void validateLinkParams(LinkId link, const net::LinkParams& params) const override;
+  void validateLinkParams(LinkId link, const LinkParams& params) const override;
 
  private:
   // Per-direction link queue state. Direction 0 = a->b, 1 = b->a.

@@ -545,7 +545,9 @@ TcpStack::TcpStack(NetworkModel& net, NodeId node, TcpOptions opts)
       c_segments_(net.simulator().metrics().counter("net.tcp.segments_sent")),
       c_retransmits_(net.simulator().metrics().counter("net.tcp.retransmits")),
       c_bytes_sent_(net.simulator().metrics().counter("net.tcp.bytes_sent")),
-      c_bytes_received_(net.simulator().metrics().counter("net.tcp.bytes_received")) {}
+      c_bytes_received_(net.simulator().metrics().counter("net.tcp.bytes_received")) {
+  net.attachHost(node, [this](Packet&& pkt) { onPacket(std::move(pkt)); });
+}
 
 TcpStack::~TcpStack() = default;
 

@@ -199,7 +199,9 @@ class TcpListener {
   std::unique_ptr<sim::Channel<std::shared_ptr<TcpConnection>>> backlog_;
 };
 
-/// The per-host TCP endpoint table. Packets are fed in by HostStack.
+/// The per-host TCP endpoint table. Constructing one attaches it as the
+/// node's packet handler (NetworkModel::attachHost); it is the host's only
+/// transport.
 class TcpStack {
  public:
   TcpStack(NetworkModel& net, NodeId node, TcpOptions opts = {});
@@ -213,7 +215,7 @@ class TcpStack {
   /// Blocking active open; throws ConnectionRefused on failure.
   std::shared_ptr<TcpConnection> connect(NodeId dst, std::uint16_t port);
 
-  /// Transport dispatch (called by HostStack).
+  /// Transport dispatch: every packet delivered to the node.
   void onPacket(Packet&& pkt);
 
   /// A passive connection completed its handshake; hand it to the listener.

@@ -276,7 +276,6 @@ Process& Simulator::spawn(std::string name, std::function<void()> body) {
   ref.span_ctx_ = spans_.current();  // children start in the spawner's span
   processes_.push_back(std::move(proc));
   live_processes_.emplace(ref.id(), &ref);
-  ++live_process_count_;
   processes_spawned_.inc();
   scheduleResume(ref);
   return ref;
@@ -315,7 +314,6 @@ void Simulator::runProcessSlice(Process& p) {
   if (p.finished_) {
     // Exactly once per process: the slice that returned finished.
     live_processes_.erase(p.id_);
-    --live_process_count_;
     ++finished_unreaped_;
   }
 }
@@ -358,7 +356,6 @@ void Simulator::shutdown() {
   }
   processes_.clear();
   live_processes_.clear();
-  live_process_count_ = 0;
   finished_unreaped_ = 0;
   shutting_down_ = false;
 }

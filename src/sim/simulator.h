@@ -244,7 +244,7 @@ class Simulator {
   void wake(Process& p);
 
   /// Number of processes that have not finished. O(1).
-  int liveProcessCount() const { return live_process_count_; }
+  int liveProcessCount() const { return static_cast<int>(live_processes_.size()); }
 
   /// Names of processes currently suspended; useful for diagnosing deadlock
   /// when run() returns while work was expected.
@@ -339,7 +339,6 @@ class Simulator {
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::unordered_map<std::uint64_t, Process*> live_processes_;  // by id
-  int live_process_count_ = 0;
   // Finished-but-unreaped count; when it crosses the reap threshold the next
   // safe point compacts processes_.
   int finished_unreaped_ = 0;

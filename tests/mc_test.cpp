@@ -10,11 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "core/topologies.h"
 #include "fault/fault_plan.h"
 #include "mc/explorer.h"
 #include "mc/invariants.h"
 #include "mc/scenario.h"
 #include "mc/snapshot.h"
+#include "npb/npb.h"
 #include "util/config.h"
 #include "util/error.h"
 
@@ -152,6 +154,32 @@ TEST(McInvariants, LostWorkIsReportedAsViolation) {
   ASSERT_FALSE(vs.empty());
   EXPECT_EQ(vs[0].invariant, "workload.lost");
   EXPECT_NE(mc::renderViolations(vs).find("workload.lost"), std::string::npos);
+}
+
+TEST(McInvariants, LauncherScenarioRunsAJobCleanAndDeterministically) {
+  // The scenario `mgrun --explore` replays: GIS + gatekeepers + one GRAM job.
+  npb::ResultSink sink;
+  mc::LauncherScenarioSpec spec;
+  spec.grid = core::topologies::alphaCluster();
+  spec.executable = "npb.ep";
+  spec.arguments = "S";
+  spec.parts = {{"vm0.ucsd.edu", 1}, {"vm1.ucsd.edu", 1}};
+  spec.registrar = [&sink](grid::ExecutableRegistry& r) { npb::registerNpb(r, sink); };
+  const auto factory = mc::launcherScenario(std::move(spec));
+
+  auto a = factory(fault::FaultPlan{});
+  auto b = factory(fault::FaultPlan{});
+  a->runToEnd();
+  b->runToEnd();
+  for (mc::ScenarioRun* run : {a.get(), b.get()}) {
+    const auto vs = mc::checkInvariants(*run);
+    EXPECT_TRUE(vs.empty()) << mc::renderViolations(vs);
+    EXPECT_EQ(run->units_completed(), 1);
+  }
+  EXPECT_EQ(a->digest(), b->digest());
+  // The job succeeded: both ranks of both runs reported, and verified.
+  EXPECT_EQ(sink.results().size(), 4u);
+  EXPECT_TRUE(sink.allVerified());
 }
 
 // ---------------------------------------------------------------- explorer --

@@ -12,8 +12,8 @@
 #include "core/microgrid_platform.h"
 #include "core/reference_platform.h"
 #include "core/topologies.h"
-#include "net/host_stack.h"
 #include "net/packet_network.h"
+#include "net/tcp.h"
 #include "util/rng.h"
 
 using namespace mg;
@@ -33,12 +33,12 @@ TEST_P(TcpGoodputLaw, GoodputMatchesTheory) {
   auto b = topo.addHost("b");
   topo.addLink("l", a, b, bw_bps, st::fromSeconds(latency_s), 1 << 20);
   net::PacketNetwork net(sim, std::move(topo), {});
-  net::HostStack sa(net, a), sb(net, b);
+  net::TcpStack sa(net, a), sb(net, b);
 
   const size_t kSize = 4 << 20;
   st::SimTime start = 0, end = 0;
   sim.spawn("server", [&] {
-    auto listener = sb.tcp().listen(80);
+    auto listener = sb.listen(80);
     auto conn = listener->accept();
     std::vector<std::uint8_t> sink(kSize);
     start = sim.now();
@@ -46,7 +46,7 @@ TEST_P(TcpGoodputLaw, GoodputMatchesTheory) {
     end = sim.now();
   });
   sim.spawn("client", [&] {
-    auto conn = sa.tcp().connect(b, 80);
+    auto conn = sa.connect(b, 80);
     std::vector<std::uint8_t> data(1 << 16, 0xcd);
     for (size_t sent = 0; sent < kSize; sent += data.size()) conn->send(data.data(), data.size());
     conn->close();
