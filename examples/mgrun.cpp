@@ -35,6 +35,9 @@
 //                      --faults are injected in every schedule, and --exe,
 //                      --args, --parts, --resubmits, --quantum, --netmodel
 //                      and --netmodel-detail shape each schedule's run.
+//                      The fault-free schedule runs first: if its job
+//                      fails (bad --args, say), mgrun exits 2 naming the
+//                      job's error, since every schedule would end at once.
 //                      Prints the branch log and stats; on a violation,
 //                      prints the delta-debugged minimal reproducing fault
 //                      plan as INI (replayable via --faults) and exits 3.
@@ -430,12 +433,23 @@ int main(int argc, char** argv) {
         apps::registerWaveToy(r, wavetoy_sink);
       };
 
+      mc::ScenarioFactory factory = mc::launcherScenario(std::move(lspec));
+      {
+        // A job that fails even without faults (bad --args, say) ends every
+        // schedule at once, and the explorer would find nothing to check.
+        const auto clean = factory(fault::FaultPlan{});
+        clean->runToEnd();
+        const std::string err = clean->job_error();
+        if (!err.empty()) {
+          throw mg::UsageError("--exe " + opt.exe + " --args '" + opt.args +
+                               "' fails with no fault injected: " + err);
+        }
+      }
       std::cout << "exploring " << spec.candidates.size() << " candidate fault(s) for "
                 << opt.exe << " '" << opt.args << "'";
       if (spec.options.budget > 0) std::cout << ", budget " << spec.options.budget;
       std::cout << "\n";
-      mc::Explorer explorer(mc::launcherScenario(std::move(lspec)), spec.candidates,
-                            spec.options);
+      mc::Explorer explorer(std::move(factory), spec.candidates, spec.options);
       const mc::ExploreResult res = explorer.explore();
       for (const auto& line : res.branch_log) std::cout << line << "\n";
       std::cout << res.renderStats();

@@ -6,13 +6,13 @@
 //   cluster) --dispatch--> compute (scheduled finish events, or a GPS
 //   processor-sharing pool on time-shared clusters) --> metrics/report
 //
-// Everything runs as kernel events — never processes — because sim
-// processes are OS threads and a million jobs must cost a million *events*,
-// not a million threads. Data staging is a real fluid flow on the
-// platform's network (so transfers contend, and a mid-transfer fault aborts
-// and triggers resubmission); each cluster advertises its queue state into
-// a GIS directory on a refresh interval, and the broker places from that
-// (slightly stale, MDS-style) picture.
+// Everything runs as kernel events — never processes — because each sim
+// process costs a fiber stack and two memory mappings, and a million jobs
+// must cost a million *events*, not a million stacks. Data staging is a
+// real fluid flow on the platform's network (so transfers contend, and a
+// mid-transfer fault aborts and triggers resubmission); each cluster
+// advertises its queue state into a GIS directory on a refresh interval,
+// and the broker places from that (slightly stale, MDS-style) picture.
 //
 // Fault path: crashCluster() crashes the head host on the platform, stamps
 // the cluster's GIS record with Record_Expires (the PR 2 TTL mechanism), and

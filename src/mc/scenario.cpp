@@ -26,7 +26,7 @@ std::uint64_t ScenarioRun::digest() const {
 }
 
 ScenarioRun::~ScenarioRun() {
-  // Join every process thread before members start dying under them.
+  // Unwind every process before members start dying under them.
   if (platform) platform->shutdown();
 }
 
@@ -112,6 +112,10 @@ ScenarioFactory launcherScenario(LauncherScenarioSpec spec) {
         return "job never reached a terminal state (lost or deadlocked)";
       }
       return "";
+    };
+    run->job_error = [ctx]() -> std::string {
+      if (ctx->result->completed_at == 0) return "the job never finished";
+      return ctx->result->ok ? "" : ctx->result->error;
     };
     return run;
   };

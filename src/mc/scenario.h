@@ -8,8 +8,9 @@
 // folds the platform's, the launcher's and the injector's inspect() walks,
 // in that fixed order, through one obs::StateWriter.
 //
-// Because simulated processes are OS threads, a snapshot cannot byte-copy
-// stacks; a scenario is therefore a *factory* — a pure function from a
+// Simulated processes run on their own stacks, full of pointers into the
+// heap and into each other, so a snapshot does not byte-copy them; a
+// scenario is therefore a *factory* — a pure function from a
 // FaultPlan to a fresh, deterministic instance. "Restoring" a snapshot means
 // rebuilding via the factory, replaying to the capture time, and verifying
 // the state digest (see mc/snapshot.h). That makes determinism of the
@@ -31,7 +32,7 @@ namespace mg::mc {
 
 struct ScenarioRun {
   /// Opaque keep-alive (executable registries, result sinks, byte counters).
-  /// Declared first so it outlives the platform and its threads.
+  /// Declared first so it outlives the platform and its processes.
   std::shared_ptr<void> context;
 
   std::unique_ptr<core::MicroGridPlatform> platform;
@@ -45,6 +46,11 @@ struct ScenarioRun {
   /// Extra workload-health probe; returns "" while healthy. Consulted by the
   /// invariant checker after the run drains.
   std::function<std::string()> workload_error;
+  /// Why the scenario's job did not succeed, "" when it did. Unlike
+  /// workload_error, a job that failed is not a violation (faults may fail
+  /// it); mgrun --explore requires the fault-free schedule's job to succeed.
+  /// Null for scenarios without a job.
+  std::function<std::string()> job_error;
 
   /// Drive the simulation to virtual time `virtual_s` (armed fault events in
   /// (last, virtual_s] fire inside). Returns the new virtual time.

@@ -1,12 +1,13 @@
 // Snapshot/restore by deterministic replay (DESIGN.md §10).
 //
-// Simulated processes are OS threads, so the kernel cannot byte-copy their
-// stacks, and fork() is off the table for a multi-threaded simulator. A
-// snapshot is therefore a *replay recipe*, the stateless-model-checking
-// construction: {virtual time, canonical state digest, the FaultPlan the
-// instance was built with}. Restoring rebuilds a fresh instance through the
-// same ScenarioFactory, replays it to the capture time, and verifies the
-// digest — byte-identical state, bought with determinism instead of memcpy.
+// Simulated processes are fibers whose stacks hold pointers into the heap and
+// into each other, so the kernel does not byte-copy them; fork()-based
+// snapshots are deferred (DESIGN.md §10). A snapshot is therefore a *replay
+// recipe*, the stateless-model-checking construction: {virtual time,
+// canonical state digest, the FaultPlan the instance was built with}.
+// Restoring rebuilds a fresh instance through the same ScenarioFactory,
+// replays it to the capture time, and verifies the digest — byte-identical
+// state, bought with determinism instead of memcpy.
 //
 // A digest mismatch on restore means the factory is NOT a pure function of
 // its plan (hidden global state, wall-clock leakage, unseeded randomness) —

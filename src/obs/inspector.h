@@ -23,9 +23,9 @@
 //
 // The digest is streaming FNV-1a-64 over a canonical byte encoding: keys
 // and strings as bytes plus a separator, integers as their 8 bytes, doubles
-// by bit pattern. It is the snapshot's identity (mc/snapshot.h): processes
-// are OS threads, so a snapshot is {virtual time, digest, replay recipe} and
-// restore replays, then verifies the digest. Digests are conservative: the
+// by bit pattern. It is the snapshot's identity (mc/snapshot.h): process
+// stacks are not copied, so a snapshot is {virtual time, digest, replay
+// recipe} and restore replays, then verifies the digest. Digests are conservative: the
 // explorer treats equal digests as equal states, which is sound because
 // every folded field is part of the deterministic replay state (up to a
 // 2^-64 hash collision, the standard stateless-model-checking trade-off).

@@ -1,63 +1,214 @@
 #include "sim/simulator.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <semaphore>
-#include <thread>
+#include <cerrno>
+#include <cstdint>
+#include <cstring>
+#include <cxxabi.h>
 
 #include "util/log.h"
+
+// Sanitizer fiber annotations: compiled in only when the build instruments
+// for ASan or TSan (gcc spells the test __SANITIZE_*__, clang __has_feature).
+#if defined(__SANITIZE_ADDRESS__)
+#define MG_SIM_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define MG_SIM_TSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MG_SIM_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define MG_SIM_TSAN 1
+#endif
+#endif
+#ifdef MG_SIM_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef MG_SIM_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace mg::sim {
 
 // ---------------------------------------------------------------------------
-// Process: one OS thread, strictly alternating with the kernel thread.
+// Process: a ucontext fiber on its own mmap'd stack.
 //
-// The handoff is a pair of binary semaphores: releasing the peer's semaphore
-// is a single futex wake of exactly one waiter, with no mutex round-trip and
-// no broadcast. Strict alternation (exactly one side runs at a time) keeps
-// each semaphore's count in {0, 1} by construction, and the semaphore pair
-// carries the happens-before edge in both directions.
+// Exactly one side runs at a time, so a process needs no thread of its own:
+// whoever resumes it (the kernel, or a process whose slice kills it)
+// swapcontext()s into the fiber, and the fiber swapcontext()s back. Each
+// process saves its own caller context, so a kill issued from inside another
+// process's slice nests: the killer is the victim's caller for that slice.
+//
+// The stack is kStackBytes of MAP_NORESERVE memory above one PROT_NONE guard
+// page: pages never touched cost no RSS, and an overflow faults at the guard
+// instead of writing into a neighbouring mapping.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr std::size_t kStackBytes = std::size_t{1} << 20;
+
+// The C++ runtime keeps the stack of exceptions being handled and the
+// uncaught-exception count per thread (__cxa_eh_globals, Itanium C++ ABI).
+// Fibers share the thread, so a process that blocks inside a catch handler
+// (vmpi's connect retry does) would otherwise resume with another process's
+// exceptions on that stack, and its `throw;`, std::current_exception() and
+// end-of-handler cleanup would act on the wrong exception. Each fiber keeps
+// its own copy, exchanged with the thread's around every slice.
+struct EhGlobals {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
+void swapEhGlobals(EhGlobals& saved) {
+  void* live = abi::__cxa_get_globals();
+  EhGlobals tmp;
+  std::memcpy(&tmp, live, sizeof tmp);
+  std::memcpy(live, &saved, sizeof saved);
+  saved = tmp;
+}
+
+}  // namespace
+
 struct Process::Impl {
-  std::binary_semaphore run{0};   // kernel -> process: you may run
-  std::binary_semaphore idle{0};  // process -> kernel: I have yielded
-  std::thread thread;
+  ucontext_t fiber{};   // the process's context while it is switched out
+  ucontext_t caller{};  // the context that resumed it, while it runs
+  EhGlobals eh;         // the switched-out side's exception-handling state
+  char* map = nullptr;  // guard page, then the stack
+  std::size_t map_bytes = 0;
+  bool started = false;
+#ifdef MG_SIM_ASAN
+  void* caller_fake_stack = nullptr;
+  void* fiber_fake_stack = nullptr;
+  const void* caller_stack = nullptr;
+  std::size_t caller_stack_bytes = 0;
+#endif
+#ifdef MG_SIM_TSAN
+  void* tsan_fiber = __tsan_create_fiber(0);
+  void* tsan_caller = nullptr;
+#endif
+
+  Impl() = default;
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+  ~Impl() {
+    releaseStack();
+#ifdef MG_SIM_TSAN
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+  }
+
+  void releaseStack() {
+    if (map == nullptr) return;
+#ifdef MG_SIM_ASAN
+    // The fiber's last frames never returned; clear their redzones so a later
+    // mapping at this address does not inherit them.
+    ASAN_UNPOISON_MEMORY_REGION(map, map_bytes);
+#endif
+    ::munmap(map, map_bytes);
+    map = nullptr;
+  }
 };
 
 Process::Process(Simulator& sim, std::uint64_t id, std::string name, std::function<void()> body)
     : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)), impl_(std::make_unique<Impl>()) {
-  impl_->thread = std::thread([this] { threadMain(); });
+  Impl& f = *impl_;
+  const std::size_t guard = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  // On failure ~Impl unmaps whatever was mapped.
+  auto fail = [&](const char* call) {
+    const int err = errno;
+    throw Error("spawn '" + name_ + "': cannot map its " + std::to_string(kStackBytes >> 10) +
+                " KiB fiber stack + guard page (" + call + ": " + std::strerror(err) + ")");
+  };
+  void* map = ::mmap(nullptr, guard + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) fail("mmap");
+  f.map = static_cast<char*>(map);
+  f.map_bytes = guard + kStackBytes;
+  if (::mprotect(f.map, guard, PROT_NONE) != 0) fail("mprotect");
+  if (::getcontext(&f.fiber) != 0) fail("getcontext");
+  f.fiber.uc_stack.ss_sp = f.map + guard;
+  f.fiber.uc_stack.ss_size = kStackBytes;
+  f.fiber.uc_link = nullptr;  // fiberMain never returns; it setcontext()s out
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  ::makecontext(&f.fiber, reinterpret_cast<void (*)()>(&Process::fiberMain), 2,
+                static_cast<unsigned int>(self >> 32), static_cast<unsigned int>(self));
 }
 
-Process::~Process() {
-  if (impl_->thread.joinable()) impl_->thread.join();
-}
+Process::~Process() = default;
 
-void Process::threadMain() {
-  // Wait for the first resume before running the body.
-  impl_->run.acquire();
-  if (!kill_) {
-    try {
-      body_();
-    } catch (const ProcessKilled&) {
-      // Normal teardown path.
-    } catch (const std::exception& e) {
-      MG_LOG_ERROR("sim") << "process '" << name_ << "' died with exception: " << e.what();
-    }
+void Process::fiberMain(unsigned int self_hi, unsigned int self_lo) {
+  auto* self = reinterpret_cast<Process*>((static_cast<std::uintptr_t>(self_hi) << 32) | self_lo);
+  Impl& f = *self->impl_;
+#ifdef MG_SIM_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, &f.caller_stack, &f.caller_stack_bytes);
+#endif
+  try {
+    self->body_();
+  } catch (const ProcessKilled&) {
+    // Normal teardown path: the unwind ran the body's destructors here.
+  } catch (const std::exception& e) {
+    MG_LOG_ERROR("sim") << "process '" << self->name_ << "' died with exception: " << e.what();
   }
-  finished_ = true;
-  impl_->idle.release();
+  self->finished_ = true;
+  // Leave for good: nothing on this frame needs destroying, and the caller
+  // unmaps the stack once it is back.
+#ifdef MG_SIM_ASAN
+  __sanitizer_start_switch_fiber(nullptr, f.caller_stack, f.caller_stack_bytes);
+#endif
+#ifdef MG_SIM_TSAN
+  __tsan_switch_to_fiber(f.tsan_caller, 0);
+#endif
+  ::setcontext(&f.caller);
 }
 
 void Process::resumeFromKernel() {
-  impl_->run.release();
-  impl_->idle.acquire();
-  if (finished_ && impl_->thread.joinable()) impl_->thread.join();
+  Impl& f = *impl_;
+  if (!f.started) {
+    if (kill_) {  // killed before its first slice: there is nothing to unwind
+      finished_ = true;
+      f.releaseStack();
+      return;
+    }
+    f.started = true;
+  }
+  swapEhGlobals(f.eh);
+#ifdef MG_SIM_ASAN
+  __sanitizer_start_switch_fiber(&f.caller_fake_stack, f.map + (f.map_bytes - kStackBytes),
+                                 kStackBytes);
+#endif
+#ifdef MG_SIM_TSAN
+  f.tsan_caller = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(f.tsan_fiber, 0);
+#endif
+  ::swapcontext(&f.caller, &f.fiber);
+#ifdef MG_SIM_ASAN
+  __sanitizer_finish_switch_fiber(f.caller_fake_stack, nullptr, nullptr);
+#endif
+  swapEhGlobals(f.eh);
+  if (finished_) f.releaseStack();
 }
 
 void Process::yieldToKernel() {
-  impl_->idle.release();
-  impl_->run.acquire();
+  Impl& f = *impl_;
+#ifdef MG_SIM_ASAN
+  __sanitizer_start_switch_fiber(&f.fiber_fake_stack, f.caller_stack, f.caller_stack_bytes);
+#endif
+#ifdef MG_SIM_TSAN
+  __tsan_switch_to_fiber(f.tsan_caller, 0);
+#endif
+  ::swapcontext(&f.fiber, &f.caller);
+#ifdef MG_SIM_ASAN
+  __sanitizer_finish_switch_fiber(f.fiber_fake_stack, &f.caller_stack, &f.caller_stack_bytes);
+#endif
   if (kill_) throw ProcessKilled{};
 }
 
@@ -325,8 +476,8 @@ void Simulator::reapIfNeeded() {
 void Simulator::reapFinishedProcesses() {
   // Safe point only: called from the run loop between events, when no
   // process is mid-slice.
-  // Finished processes have had their threads joined (resumeFromKernel joins
-  // on the finishing handoff), so destruction is immediate. Live Process
+  // Finished processes have had their stacks unmapped (resumeFromKernel
+  // does so on the finishing switch), so destruction is cheap. Live Process
   // objects keep their addresses (unique_ptr).
   //
   // A process killed with a queued resume (a wake raced the kill) or a

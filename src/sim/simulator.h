@@ -1,10 +1,11 @@
 // The discrete-event simulation kernel.
 //
 // A Simulator owns one time-ordered event queue and a set of cooperative
-// Processes. Either the kernel (dispatching events) or one process (between
-// two of its blocking calls) runs at a time, backed by a strict
-// one-at-a-time handoff protocol, so simulation semantics are deterministic:
-// the same configuration and seed give bit-identical runs.
+// Processes. Each process is a fiber on its own guard-paged stack, switched
+// to and from on the caller's thread, so either the kernel (dispatching
+// events) or one process (between two of its blocking calls) runs at a time
+// and simulation semantics are deterministic: the same configuration and
+// seed give bit-identical runs.
 //
 // Events live in a slab arena: fixed records recycled through a free list,
 // ordered by a 4-ary min-heap of slot indices. cancel() removes the record
@@ -121,10 +122,12 @@ class Process {
   friend class Simulator;
   Process(Simulator& sim, std::uint64_t id, std::string name, std::function<void()> body);
 
-  void threadMain();
-  /// Kernel side: transfer control to the process; returns when it yields.
+  /// The fiber's entry point (makecontext passes `this` as two halves).
+  static void fiberMain(unsigned int self_hi, unsigned int self_lo);
+  /// Caller side (the kernel, or a killer's slice): switch into the process;
+  /// returns when it yields or finishes.
   void resumeFromKernel();
-  /// Process side: return control to the kernel; returns when resumed.
+  /// Process side: switch back to the caller; returns when resumed.
   void yieldToKernel();
 
   Simulator& sim_;
@@ -132,7 +135,8 @@ class Process {
   std::string name_;
   std::function<void()> body_;
 
-  // Handoff state: a pair of binary semaphores and the backing thread.
+  // Fiber state: the guard-paged stack, the process's and its caller's
+  // saved contexts, and the sanitizer annotations' bookkeeping.
   struct Impl;
   std::unique_ptr<Impl> impl_;
 
@@ -189,7 +193,10 @@ class Simulator {
   /// race benignly with their own timeouts).
   void cancel(EventId id);
 
-  /// Create a process whose body starts at the current time.
+  /// Create a process whose body starts at the current time. Throws
+  /// mg::Error naming the stack mapping when its guard-paged stack cannot be
+  /// mapped (each live process holds two memory mappings of the host's
+  /// vm.max_map_count).
   Process& spawn(std::string name, std::function<void()> body);
 
   /// Run until the event queue is empty. Returns the final time.
@@ -198,9 +205,9 @@ class Simulator {
   /// Run events with time <= t, then set now to t.
   void runUntil(SimTime t);
 
-  /// Kill all unfinished processes and join their threads. Called by run()
-  /// completion is NOT implied — daemons stay blocked until shutdown() or
-  /// destruction.
+  /// Kill all unfinished processes: each unwinds on its own stack with
+  /// ProcessKilled, then its stack is unmapped. run() returning does NOT
+  /// imply this — daemons stay blocked until shutdown() or destruction.
   void shutdown();
 
   /// Kill one process: it unwinds synchronously with ProcessKilled, exactly

@@ -27,12 +27,12 @@ LogLevel levelFromEnv() {
 std::atomic<LogLevel> g_level{levelFromEnv()};
 
 // Installed/cleared only while the simulation is quiescent; emitting threads
-// (the kernel, process threads) call it but never mutate it, and
-// g_log_mutex below keeps the emitted lines whole.
+// (the kernel's, which its process fibers run on) call it but never mutate
+// it, and g_log_mutex below keeps the emitted lines whole.
 std::function<std::int64_t()> g_sim_time_source;
 
-// Process threads, the progress monitor and host code may log from
-// different threads; serialize whole lines.
+// The kernel, the progress monitor and host code may log from different
+// threads; serialize whole lines.
 std::mutex g_log_mutex;
 
 const char* levelName(LogLevel level) {

@@ -1,9 +1,15 @@
 // Unit tests for the discrete-event kernel: event ordering, processes,
 // conditions, channels, determinism.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -246,6 +252,184 @@ TEST(Process, ExceptionInBodyDoesNotCrashKernel) {
   SimTime end = sim.run();
   EXPECT_EQ(end, 5);
   EXPECT_EQ(sim.liveProcessCount(), 0);
+}
+
+// ---- processes as fibers ---------------------------------------------------
+
+namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Never inlined or turned into a loop: each level keeps a 1 KiB frame live
+// until the one below returns.
+[[gnu::noinline]] int recurse(int depth, int limit) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth == limit) return pad[0];
+  return recurse(depth + 1, limit) + pad[0];
+}
+
+/// Appends its tag to a log when destroyed.
+struct Tracer {
+  std::vector<std::string>* log;
+  const char* tag;
+  ~Tracer() { log->push_back(tag); }
+};
+
+}  // namespace
+
+TEST(ProcessDeathTest, StackOverflowFaultsAtTheGuardPage) {
+  // A sanitizer's own SEGV handler reports the overflow and exits non-zero
+  // instead of dying by the signal.
+  auto died = [](int status) {
+    if (kSanitized) return !testing::ExitedWithCode(0)(status);
+    return testing::KilledBySignal(SIGSEGV)(status);
+  };
+  EXPECT_EXIT(
+      {
+        Simulator sim;
+        // ~1.8 MiB of frames against a 1 MiB stack. The neighbour's stack is
+        // mapped just below (mmap hands out addresses top-down), so without
+        // the guard page the overflow would run on into it and return.
+        sim.spawn("deep", [] {
+          const volatile int sink = recurse(0, 1800);
+          static_cast<void>(sink);
+          std::exit(0);
+        });
+        sim.spawn("neighbour", [] {});
+        sim.run();
+        std::exit(0);
+      },
+      died, "");
+}
+
+TEST(ProcessDeathTest, SpawnReportsAStackMappingFailure) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers reserve their own address space up front";
+  EXPECT_EXIT(
+      {
+        // Cap the address space a little above what is mapped now, so that
+        // the fiber stacks run it out long before anything else does.
+        rlimit lim{};
+        getrlimit(RLIMIT_AS, &lim);
+        std::size_t mapped_kb = 0;
+        if (FILE* f = std::fopen("/proc/self/status", "r")) {
+          char line[256];
+          while (std::fgets(line, sizeof line, f)) {
+            if (std::sscanf(line, "VmSize: %zu kB", &mapped_kb) == 1) break;
+          }
+          std::fclose(f);
+        }
+        lim.rlim_cur = (mapped_kb + 64 * 1024) * 1024;
+        if (mapped_kb == 0 || setrlimit(RLIMIT_AS, &lim) != 0) std::exit(3);
+        Simulator sim;
+        try {
+          for (int i = 0; i < 1000; ++i) sim.spawn("p" + std::to_string(i), [] {});
+        } catch (const mg::Error& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          std::exit(0);
+        }
+        std::exit(1);
+      },
+      testing::ExitedWithCode(0), "cannot map its 1024 KiB fiber stack \\+ guard page \\(mmap");
+}
+
+TEST(Process, KillUnwindsRaiiObjectsOnASuspendedStack) {
+  Simulator sim;
+  std::vector<std::string> log;
+  bool resumed = false;
+  auto& victim = sim.spawn("victim", [&] {
+    Tracer outer{&log, "outer"};
+    [&] {
+      Tracer inner{&log, "inner"};
+      sim.suspend();  // never woken
+      resumed = true;
+    }();
+  });
+  sim.run();
+  ASSERT_FALSE(victim.finished());
+  sim.killProcess(victim);
+  EXPECT_FALSE(resumed);
+  // Innermost first, exactly as an exception unwinds an ordinary stack.
+  EXPECT_EQ(log, (std::vector<std::string>{"inner", "outer"}));
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  EXPECT_EQ(sim.metrics().counterValue("sim.process.kills"), 1);
+}
+
+TEST(Process, ProcessKillsASuspendedProcessMidBody) {
+  // The kill switches from one fiber into another and back: the victim's
+  // caller for that slice is the killer, not the kernel.
+  Simulator sim;
+  std::vector<std::string> log;
+  auto& victim = sim.spawn("victim", [&] {
+    Tracer t{&log, "victim unwound"};
+    sim.delay(5);
+    sim.suspend();  // never woken
+  });
+  const std::uint64_t victim_id = victim.id();
+  sim.spawn("killer", [&] {
+    Tracer t{&log, "killer done"};
+    sim.delay(10);
+    log.push_back("kill@" + std::to_string(sim.now()));
+    sim.killProcessById(victim_id);
+    log.push_back("back@" + std::to_string(sim.now()));
+    sim.delay(10);  // the killer's own fiber still switches normally
+    log.push_back("end@" + std::to_string(sim.now()));
+  });
+  EXPECT_EQ(sim.run(), 20);
+  EXPECT_EQ(log, (std::vector<std::string>{"kill@10", "victim unwound", "back@10", "end@20",
+                                           "killer done"}));
+  EXPECT_TRUE(sim.processFinished(victim_id));
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+}
+
+TEST(Process, KillingAProcessThatNeverStartedIsANoOp) {
+  Simulator sim;
+  bool ran = false;
+  auto& p = sim.spawn("unstarted", [&] { ran = true; });
+  const std::uint64_t id = p.id();
+  sim.killProcess(p);  // its first slice is still queued
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  sim.run();  // the queued first slice finds it finished
+  EXPECT_FALSE(ran);
+  sim.killProcessById(id);  // and killing it again does nothing either
+  EXPECT_EQ(sim.metrics().counterValue("sim.process.kills"), 1);
+}
+
+TEST(Process, EachProcessKeepsItsOwnHandledException) {
+  // Two processes block inside their catch handlers, interleaved. Each must
+  // resume with its own exception current, as it would on a thread.
+  Simulator sim;
+  std::vector<std::string> seen;
+  for (const char* name : {"a", "b"}) {
+    sim.spawn(name, [&sim, &seen, name] {
+      try {
+        throw std::runtime_error(name);
+      } catch (const std::exception&) {
+        sim.delay(name[0] == 'a' ? 5 : 10);  // the first to catch resumes first
+        try {
+          throw;
+        } catch (const std::exception& again) {
+          seen.push_back(again.what());
+        }
+      }
+      EXPECT_EQ(std::current_exception(), nullptr);
+      EXPECT_EQ(std::uncaught_exceptions(), 0);
+    });
+  }
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(std::current_exception(), nullptr);
 }
 
 TEST(Condition, NotifyOneWakesFifo) {

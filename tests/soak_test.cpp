@@ -1,18 +1,29 @@
-// Soak/stress test for the event kernel and the packet network: 1000
-// virtual hosts across 20 WAN-joined campus clusters, 60 seconds of virtual
-// time, link and node faults flipping throughout. Excluded from the default
-// ctest run (CONFIGURATIONS soak); run with `ctest -C soak -R soak`.
+// Soak/stress tests for the event kernel and the packet network. Excluded
+// from the default ctest run (CONFIGURATIONS soak); run with
+// `ctest -C soak -R soak`.
 //
-// What it guards:
+// ThousandHostsSixtySecondsUnderFaults: 1000 virtual hosts across 20
+// WAN-joined campus clusters, 60 seconds of virtual time, link and node
+// faults flipping throughout. It guards:
 //   - the run completes at all (the ctest TIMEOUT property is the backstop),
 //   - stable memory: the event arena's slot high-water mark reaches steady
 //     state during warmup and stays bounded for the rest of the run,
 //   - the event population fully drains once traffic stops,
 //   - every fault really bit: no-route, node-down and loss drops, and one
 //     routing recompute per state flip.
+//
+// TwentyThousandLiveProcesses: 20,000 processes alive at once, each on its
+// own fiber stack; half finish, half are left suspended for shutdown() to
+// unwind, and resident memory stays within a few pages per process.
+//
+// SpawnPastTheMapLimitThrows: spawning until the host's memory-map limit is
+// reached ends in an mg::Error naming the stack mapping, not a crash or
+// std::bad_alloc, and the simulator still runs and shuts down after it.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -149,4 +160,95 @@ TEST(SoakKernel, ThousandHostsSixtySecondsUnderFaults) {
   EXPECT_GT(sim.metrics().counterValue("net.packet.dropped_loss"), 0);
   // 28 link flaps and 11 crashes, each down + up: one recompute per flip.
   EXPECT_EQ(sim.metrics().counterValue("net.route.recomputes"), 2 * (28 + 11));
+}
+
+namespace {
+
+/// Resident set size of this process, in KiB.
+long residentKb() {
+  long pages = 0;
+  if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+    long size = 0;
+    if (std::fscanf(f, "%ld %ld", &size, &pages) != 2) pages = 0;
+    std::fclose(f);
+  }
+  return pages * (::sysconf(_SC_PAGESIZE) / 1024);
+}
+
+}  // namespace
+
+TEST(SoakKernel, TwentyThousandLiveProcesses) {
+  // Each guard-paged stack is two memory mappings, and vm.max_map_count
+  // (65530 by default) caps a process at that many: 20k processes use 40k.
+  constexpr int kProcs = 20000;
+  const long rss_before = residentKb();
+  st::Simulator sim;
+  int finished = 0;
+  int unwound = 0;
+  for (int i = 0; i < kProcs; ++i) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&sim, &finished, &unwound, i] {
+      struct OnUnwind {
+        int* count;
+        bool done = false;
+        ~OnUnwind() {
+          if (!done) ++*count;
+        }
+      } guard{&unwound};
+      for (int k = 1; k <= 3; ++k) sim.delay((i % 7 + k) * kMs);
+      if (i % 2 == 0) sim.suspend();  // never woken: left for shutdown()
+      guard.done = true;
+      ++finished;
+    });
+  }
+  // Before the first delay ends every process has run a slice, so all
+  // 20k stacks are touched and live.
+  long rss_all_live = 0;
+  int live_then = 0;
+  sim.scheduleAt(kMs / 2, [&] {
+    rss_all_live = residentKb();
+    live_then = sim.liveProcessCount();
+  });
+  sim.run();
+  EXPECT_EQ(live_then, kProcs);
+  EXPECT_EQ(finished, kProcs / 2);
+  EXPECT_EQ(sim.liveProcessCount(), kProcs / 2);
+  EXPECT_EQ(sim.suspendedProcessNames().size(), static_cast<std::size_t>(kProcs / 2));
+
+  sim.shutdown();
+  EXPECT_EQ(unwound, kProcs / 2);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
+  EXPECT_EQ(sim.metrics().counterValue("sim.process.kills"), kProcs / 2);
+
+  // A 1 MiB stack reserves address space only: what a process costs in RSS
+  // is the pages its slices touched plus its kernel bookkeeping.
+  const long per_process_kb = (rss_all_live - rss_before) / kProcs;
+  std::printf("resident: %ld KiB before, %ld KiB with %d live (%ld KiB each), %ld KiB after\n",
+              rss_before, rss_all_live, kProcs, per_process_kb, residentKb());
+  EXPECT_GT(rss_all_live, rss_before);
+  EXPECT_LE(per_process_kb, 16);
+}
+
+TEST(SoakKernel, SpawnPastTheMapLimitThrows) {
+  // ~32.7k spawns at the default vm.max_map_count of 65530. A host whose
+  // limit is far higher runs out of this test's patience instead.
+  constexpr int kMaxSpawns = 200000;
+  st::Simulator sim;
+  int spawned = 0;
+  int ran = 0;
+  std::string error;
+  try {
+    for (; spawned < kMaxSpawns; ++spawned) {
+      sim.spawn(std::string("p").append(std::to_string(spawned)), [&ran] { ++ran; });
+    }
+  } catch (const mg::Error& e) {
+    error = e.what();
+  }
+  if (error.empty()) GTEST_SKIP() << "no mapping failure within " << kMaxSpawns << " spawns";
+  std::printf("spawned %d processes, then: %s\n", spawned, error.c_str());
+  EXPECT_NE(error.find("cannot map its 1024 KiB fiber stack + guard page"), std::string::npos);
+  EXPECT_EQ(sim.liveProcessCount(), spawned);
+  // The processes that did get a stack still run; none is left over.
+  sim.run();
+  EXPECT_EQ(ran, spawned);
+  EXPECT_EQ(sim.liveProcessCount(), 0);
 }
