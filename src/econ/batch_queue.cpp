@@ -52,7 +52,8 @@ bool BatchQueue::cancel(std::int64_t id) {
 bool BatchQueue::finish(std::int64_t id) {
   auto it = running_.find(id);
   if (it == running_.end()) return false;
-  used_ -= it->second.cpus;
+  used_ -= it->second->second;
+  by_end_.erase(it->second);
   running_.erase(it);
   return true;
 }
@@ -62,7 +63,9 @@ bool BatchQueue::tryStart(const QueuedJob& job, double now) {
       opt_.policy == QueuePolicy::TimeShared ? opt_.slots * opt_.oversubscribe : opt_.slots;
   if (used_ + job.cpus > capacity) return false;
   used_ += job.cpus;
-  running_[job.id] = Running{job.cpus, now + job.est_runtime_s};
+  auto [it, fresh] = running_.try_emplace(job.id);
+  if (!fresh) by_end_.erase(it->second);  // a duplicate id replaces its earlier start
+  it->second = by_end_.emplace(EndKey{now + job.est_runtime_s, job.id}, job.cpus).first;
   return true;
 }
 
@@ -77,25 +80,16 @@ std::vector<StartedJob> BatchQueue::dispatch(double now) {
   if (queue_.empty() || opt_.policy != QueuePolicy::EasyBackfill) return started;
 
   // EASY backfilling. The blocked head holds a reservation at its shadow
-  // time: walk running jobs in expected-end order, accumulating freed cores
-  // until the head fits. Cores free at that instant beyond the head's need
-  // are the "extra" pool a backfill job may borrow indefinitely; anything
-  // else it borrows must be returned by the shadow time.
+  // time: walk running jobs in (expected end, id) order, accumulating freed
+  // cores until the head fits. Cores free at that instant beyond the head's
+  // need are the "extra" pool a backfill job may borrow indefinitely;
+  // anything else it borrows must be returned by the shadow time.
   const QueuedJob& head = queue_.front();
-  std::vector<const Running*> by_end;
-  by_end.reserve(running_.size());
-  for (const auto& [id, r] : running_) by_end.push_back(&r);
-  std::sort(by_end.begin(), by_end.end(), [](const Running* a, const Running* b) {
-    return a->expected_end_s < b->expected_end_s;
-  });
-
   double shadow = now;
   int avail = opt_.slots - used_;
-  std::size_t i = 0;
-  while (avail < head.cpus && i < by_end.size()) {
-    avail += by_end[i]->cpus;
-    shadow = by_end[i]->expected_end_s;
-    ++i;
+  for (auto r = by_end_.begin(); avail < head.cpus && r != by_end_.end(); ++r) {
+    avail += r->second;
+    shadow = r->first.expected_end_s;
   }
   // avail >= head.cpus here unless the head is wider than the machine, which
   // submit-side validation rules out; guard anyway so a bad est can't wedge.
@@ -126,7 +120,7 @@ double BatchQueue::estimateWait(int cpus, double now) const {
   // approximation of how long the machine needs to drain ahead of us.
   double cpu_seconds = 0;
   for (const auto& [id, r] : running_) {
-    cpu_seconds += std::max(0.0, r.expected_end_s - now) * r.cpus;
+    cpu_seconds += std::max(0.0, r->first.expected_end_s - now) * r->second;
   }
   for (const QueuedJob& q : queue_) cpu_seconds += q.est_runtime_s * q.cpus;
   return cpu_seconds / opt_.slots;

@@ -14,8 +14,10 @@
 //                    gets a shadow-time reservation computed from running
 //                    jobs' user estimates, and later jobs may jump ahead only
 //                    if they cannot delay that reservation. The scan is
-//                    capped at `backfill_window` candidates so dispatch stays
-//                    O(window + running), not O(depth), at million-job scale.
+//                    capped at `backfill_window` candidates, and running jobs
+//                    are kept ordered by expected end, so dispatch costs
+//                    O(window + k) for the k jobs the shadow walk reads, not
+//                    O(depth) or a sort of every running job.
 //  * TimeShared    — admit up to `oversubscribe` x slots cores and let the
 //                    caller stretch runtimes (processor sharing); queue past
 //                    that point, FCFS.
@@ -57,6 +59,12 @@ class BatchQueue {
   };
 
   explicit BatchQueue(const Options& opt);
+  // running_ points into by_end_: a copy would point into the original.
+  // Moving keeps map nodes, and so the iterators, valid.
+  BatchQueue(const BatchQueue&) = delete;
+  BatchQueue& operator=(const BatchQueue&) = delete;
+  BatchQueue(BatchQueue&&) = default;
+  BatchQueue& operator=(BatchQueue&&) = default;
 
   /// Widest job this queue can ever run; wider submissions are the caller's
   /// error to reject.
@@ -90,17 +98,24 @@ class BatchQueue {
   double backlogSeconds() const;
 
  private:
-  struct Running {
-    int cpus = 0;
-    double expected_end_s = 0;  // start + user estimate; reservations use this
+  /// A running job's place in EASY's shadow walk: ordered by expected end
+  /// (start + user estimate), equal ends tie toward the lower job id.
+  struct EndKey {
+    double expected_end_s = 0;
+    std::int64_t id = 0;
+    bool operator<(const EndKey& o) const {
+      return expected_end_s != o.expected_end_s ? expected_end_s < o.expected_end_s : id < o.id;
+    }
   };
+  using ByEnd = std::map<EndKey, int>;  // -> cpus
 
   bool tryStart(const QueuedJob& job, double now);
 
   Options opt_;
   int used_ = 0;
   std::deque<QueuedJob> queue_;
-  std::map<std::int64_t, Running> running_;
+  ByEnd by_end_;  // running jobs in shadow-walk order, kept as they start and finish
+  std::map<std::int64_t, ByEnd::iterator> running_;  // the same jobs by id
 };
 
 }  // namespace mg::econ

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "net/flow_network.h"
 #include "util/error.h"
@@ -80,33 +81,38 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
       c_backfills_(sim_.metrics().counter("econ.queue.backfill_starts")),
       c_transfers_(sim_.metrics().counter("econ.data.transfers")),
       c_failed_(sim_.metrics().counter("econ.jobs.failed")) {
-  for (const EconCluster& m : grid.clusters) {
+  std::vector<const EconCluster*> by_name;
+  for (const EconCluster& m : grid.clusters) by_name.push_back(&m);
+  std::sort(by_name.begin(), by_name.end(),
+            [](const EconCluster* a, const EconCluster* b) { return a->name < b->name; });
+  clusters_.reserve(by_name.size());
+  for (const EconCluster* m : by_name) {
+    if (!clusters_.empty() && clusters_.back().meta.name == m->name) {
+      throw ConfigError("econ: duplicate cluster name " + m->name);
+    }
     BatchQueue::Options q;
-    q.slots = m.slots;
-    q.policy = m.policy;
+    q.slots = m->slots;
+    q.policy = m->policy;
     q.backfill_window = opts_.backfill_window;
     q.oversubscribe = opts_.oversubscribe;
-    auto [it, inserted] = clusters_.emplace(m.name, Cluster(m, q));
-    if (!inserted) throw ConfigError("econ: duplicate cluster name " + m.name);
-    it->second.head_node = platform_.mapper().resolve(m.head).node;
+    clusters_.emplace_back(*m, q);
+    clusters_.back().head_node = platform_.mapper().resolve(m->head).node;
+    if (m->site < 0) continue;
+    const auto site = static_cast<std::size_t>(m->site);
+    if (site >= site_head_.size()) site_head_.resize(site + 1, net::kNoNode);
+    if (site_head_[site] == net::kNoNode) site_head_[site] = clusters_.back().head_node;
   }
-  // Data-site index -> that cluster's head node, in site order.
+  completed_.assign(clusters_.size(), 0);
   broker_.setTransferEstimator(
       [this](int from_site, const ClusterView& to, std::int64_t bytes) {
-        auto tit = clusters_.find(to.name);
-        if (tit == clusters_.end()) return 1e9;
-        net::NodeId src = net::kNoNode;
-        for (const auto& [name, c] : clusters_) {
-          if (c.meta.site == from_site) {
-            src = c.head_node;
-            break;
-          }
-        }
+        const int ci = clusterIndex(to.name);
+        if (ci < 0) return 1e9;
+        const net::NodeId src = siteHead(from_site);
         if (src == net::kNoNode) return 1e9;
         net::FlowEngine* fe = platform_.network().flows();
         if (!fe) return static_cast<double>(bytes) * 8.0 / 1e9;
         try {
-          const sim::SimTime net_t = fe->estimate(src, tit->second.head_node, bytes);
+          const sim::SimTime net_t = fe->estimate(src, cluster(ci).head_node, bytes);
           return platform_.virtualTime().toVirtualSeconds(
               platform_.network().scaleDuration(net_t));
         } catch (const Error&) {
@@ -115,12 +121,32 @@ GridEconomy::GridEconomy(core::MicroGridPlatform& platform, const EconGrid& grid
       });
 }
 
+int GridEconomy::clusterIndex(const std::string& name) const {
+  auto it = std::lower_bound(
+      clusters_.begin(), clusters_.end(), name,
+      [](const Cluster& c, const std::string& n) { return c.meta.name < n; });
+  if (it == clusters_.end() || it->meta.name != name) return -1;
+  return static_cast<int>(it - clusters_.begin());
+}
+
+int GridEconomy::requireCluster(const std::string& name) const {
+  const int ci = clusterIndex(name);
+  if (ci < 0) throw ConfigError("econ: unknown cluster " + name);
+  return ci;
+}
+
+net::NodeId GridEconomy::siteHead(int site) const {
+  if (site < 0 || static_cast<std::size_t>(site) >= site_head_.size()) return net::kNoNode;
+  return site_head_[static_cast<std::size_t>(site)];
+}
+
 void GridEconomy::inspect(obs::Inspector& in) const {
   in.level("econ.active_jobs", static_cast<double>(active_.size()));
   in.total("econ.submitted_per_s", static_cast<double>(c_submitted_.value()));
   in.total("econ.completed_per_s", static_cast<double>(c_completed_.value()));
   const auto& views = broker_.views();
-  for (const auto& [name, c] : clusters_) {
+  for (const Cluster& c : clusters_) {
+    const std::string& name = c.meta.name;
     in.level("econ.queue.depth.", name, static_cast<double>(c.queue.depth()));
     in.level("econ.queue.backlog_s.", name, c.queue.backlogSeconds());
     in.level("econ.running.", name, static_cast<double>(c.queue.runningCount()));
@@ -163,7 +189,7 @@ void GridEconomy::handleArrival(Job job, int resubmits) {
 void GridEconomy::placeJob(Job job, int resubmits) {
   const Placement p = broker_.place(job, now_s());
   if (!p.placed) {
-    if (p.reject_reason && std::string(p.reject_reason) == "budget") {
+    if (p.reject_reason && std::string_view(p.reject_reason) == "budget") {
       c_rejected_budget_.inc();
       ++rpt_.rejected_budget;
     } else {
@@ -173,10 +199,11 @@ void GridEconomy::placeJob(Job job, int resubmits) {
     active_.erase(job.id);
     return;
   }
-  Cluster& c = clusters_.at(p.cluster);
+  const int ci = requireCluster(p.cluster);
+  const Cluster& c = cluster(ci);
   Active& a = active_[job.id];
   a.job = job;
-  a.cluster = p.cluster;
+  a.cluster = ci;
   a.runtime_c = job.runtime_s * (opts_.workload.ref_core_ops / c.meta.core_ops);
   a.start_s = -1;
   a.resubmits = resubmits;
@@ -188,23 +215,18 @@ void GridEconomy::placeJob(Job job, int resubmits) {
 
   if (opts_.flow_transfers && job.input_bytes > 0 && job.data_site >= 0 &&
       job.data_site != c.meta.site) {
-    startTransfer(job, c, resubmits);
+    startTransfer(job, ci);
   } else {
-    enqueue(job, c, resubmits);
+    enqueue(job, ci);
   }
 }
 
-void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
+void GridEconomy::startTransfer(const Job& job, int ci) {
+  const Cluster& c = cluster(ci);
   net::FlowEngine* fe = platform_.network().flows();
-  net::NodeId src = net::kNoNode;
-  for (const auto& [name, cl] : clusters_) {
-    if (cl.meta.site == job.data_site) {
-      src = cl.head_node;
-      break;
-    }
-  }
+  const net::NodeId src = siteHead(job.data_site);
   if (!fe || src == net::kNoNode || src == c.head_node) {
-    enqueue(job, c, resubmits);
+    enqueue(job, ci);
     return;
   }
   const std::int64_t id = job.id;
@@ -214,39 +236,42 @@ void GridEconomy::startTransfer(const Job& job, Cluster& c, int resubmits) {
         [this, id] {
           auto it = active_.find(id);
           if (it == active_.end() || it->second.backing_off) return;
-          auto cit = clusters_.find(it->second.cluster);
-          if (cit == clusters_.end() || !cit->second.alive) {
-            resubmit(id, "cluster_down");
+          const int dest = it->second.cluster;
+          if (!cluster(dest).alive) {
+            resubmit(id);  // the cluster went down while the input was in flight
             return;
           }
-          enqueue(it->second.job, cit->second, it->second.resubmits);
+          enqueue(it->second.job, dest);
         },
-        [this, id](const std::string& reason) { resubmit(id, reason); });
+        [this, id](const std::string&) { resubmit(id); });
     c_transfers_.inc();
     ++rpt_.transfers;
     rpt_.transfer_bytes += job.input_bytes;
   } catch (const Error&) {
     // Source or destination currently unroutable: treat like an abort.
-    resubmit(id, "transfer_unroutable");
+    resubmit(id);
   }
 }
 
-void GridEconomy::enqueue(const Job& job, Cluster& c, int resubmits) {
-  (void)resubmits;
+void GridEconomy::enqueue(const Job& job, int ci) {
+  Cluster& c = cluster(ci);
   QueuedJob q;
   q.id = job.id;
   q.cpus = job.cpus;
   q.est_runtime_s = job.est_runtime_s * (opts_.workload.ref_core_ops / c.meta.core_ops);
   q.submit_s = now_s();
   c.queue.submit(q, q.submit_s);
-  pump(c);
+  pump(ci);
 }
 
-void GridEconomy::pump(Cluster& c) {
-  for (const StartedJob& s : c.queue.dispatch(now_s())) startJob(c, s);
+void GridEconomy::pump(int ci) {
+  for (const StartedJob& s : cluster(ci).queue.dispatch(now_s())) {
+    startJob(ci, s);
+  }
 }
 
-void GridEconomy::startJob(Cluster& c, const StartedJob& s) {
+void GridEconomy::startJob(int ci, const StartedJob& s) {
+  Cluster& c = cluster(ci);
   auto it = active_.find(s.job.id);
   if (it == active_.end()) return;
   Active& a = it->second;
@@ -259,18 +284,16 @@ void GridEconomy::startJob(Cluster& c, const StartedJob& s) {
   }
   if (c.meta.policy == QueuePolicy::TimeShared) {
     c.ps.add(a.job.id, a.job.cpus, a.runtime_c, now);
-    armPsEvent(c);
+    armPsEvent(ci);
   } else {
     const std::int64_t id = a.job.id;
     a.finish_event = sim_.scheduleAt(std::max(sim_.now(), kernelAt(now + a.runtime_c)),
-                                     [this, id, name = c.meta.name] {
-                                       auto cit = clusters_.find(name);
-                                       if (cit != clusters_.end()) finishJob(cit->second, id);
-                                     });
+                                     [this, ci, id] { finishJob(ci, id); });
   }
 }
 
-void GridEconomy::armPsEvent(Cluster& c) {
+void GridEconomy::armPsEvent(int ci) {
+  Cluster& c = cluster(ci);
   if (c.ps_event != 0) {
     sim_.cancel(c.ps_event);
     c.ps_event = 0;
@@ -281,23 +304,21 @@ void GridEconomy::armPsEvent(Cluster& c) {
   // +1 ns past the converted finish time, so the guard below never spins on
   // float/integer rounding.
   const sim::SimTime t = std::max(sim_.now(), kernelAt(when) + 1);
-  c.ps_event = sim_.scheduleAt(t, [this, name = c.meta.name] {
-    auto cit = clusters_.find(name);
-    if (cit == clusters_.end()) return;
-    Cluster& cl = cit->second;
+  c.ps_event = sim_.scheduleAt(t, [this, ci] {
+    Cluster& cl = cluster(ci);
     cl.ps_event = 0;
     double w = 0;
     std::int64_t jid = 0;
-    while (cl.ps.nextFinish(w, jid) && kernelAt(w) < sim_.now()) finishJob(cl, jid);
-    armPsEvent(cl);
+    while (cl.ps.nextFinish(w, jid) && kernelAt(w) < sim_.now()) finishJob(ci, jid);
+    armPsEvent(ci);
   });
 }
 
-void GridEconomy::finishJob(Cluster& c, std::int64_t id) {
+void GridEconomy::finishJob(int ci, std::int64_t id) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
-  const Active a = it->second;
-  active_.erase(it);
+  Cluster& c = cluster(ci);
+  const Active& a = it->second;
   const double now = now_s();
   if (c.meta.policy == QueuePolicy::TimeShared) c.ps.remove(id, now);
   c.queue.finish(id);
@@ -319,28 +340,24 @@ void GridEconomy::finishJob(Cluster& c, std::int64_t id) {
   }
   c_completed_.inc();
   ++rpt_.completed;
-  ++rpt_.per_cluster[c.meta.name];
+  ++completed_[static_cast<std::size_t>(ci)];
   rpt_.makespan_s = std::max(rpt_.makespan_s, now);
-  pump(c);
+  active_.erase(it);
+  pump(ci);
 }
 
-void GridEconomy::resubmit(std::int64_t id, const std::string& reason) {
-  (void)reason;
+void GridEconomy::resubmit(std::int64_t id) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
   Active& a = it->second;
   if (a.backing_off) return;  // already on its way back through the broker
   // Undo any queue/pool residue on the old cluster (covers flow-abort while
   // queued and crash requeues alike; cluster may already be rebuilt).
-  auto cit = clusters_.find(a.cluster);
-  if (cit != clusters_.end()) {
-    cit->second.queue.cancel(id);
-    if (a.running) {
-      if (cit->second.meta.policy == QueuePolicy::TimeShared) {
-        if (cit->second.ps.remove(id, now_s())) armPsEvent(cit->second);
-      }
-      cit->second.queue.finish(id);
-    }
+  Cluster& c = cluster(a.cluster);
+  c.queue.cancel(id);
+  if (a.running) {
+    if (c.meta.policy == QueuePolicy::TimeShared && c.ps.remove(id, now_s())) armPsEvent(a.cluster);
+    c.queue.finish(id);
   }
   if (a.finish_event != 0) {
     sim_.cancel(a.finish_event);
@@ -368,9 +385,9 @@ void GridEconomy::resubmit(std::int64_t id, const std::string& reason) {
 
 void GridEconomy::publishGis() {
   const double now = now_s();
-  for (auto& [name, c] : clusters_) {
+  for (const Cluster& c : clusters_) {
     ClusterView v;
-    v.name = name;
+    v.name = c.meta.name;
     v.head_host = c.meta.head;
     v.site = c.meta.site;
     v.slots = c.meta.slots;
@@ -396,33 +413,30 @@ void GridEconomy::refreshLoop() {
 }
 
 void GridEconomy::scheduleCrash(const std::string& cluster, double at_s) {
-  if (clusters_.find(cluster) == clusters_.end()) {
-    throw ConfigError("econ: unknown cluster " + cluster);
-  }
-  sim_.scheduleAt(kernelAt(at_s), [this, cluster] { crashCluster(cluster); });
+  const int ci = requireCluster(cluster);
+  sim_.scheduleAt(kernelAt(at_s), [this, ci] { crashCluster(ci); });
 }
 
 void GridEconomy::scheduleRestart(const std::string& cluster, double at_s) {
-  if (clusters_.find(cluster) == clusters_.end()) {
-    throw ConfigError("econ: unknown cluster " + cluster);
-  }
-  sim_.scheduleAt(kernelAt(at_s), [this, cluster] { restartCluster(cluster); });
+  const int ci = requireCluster(cluster);
+  sim_.scheduleAt(kernelAt(at_s), [this, ci] { restartCluster(ci); });
 }
 
-void GridEconomy::crashCluster(const std::string& name) {
-  Cluster& c = clusters_.at(name);
+void GridEconomy::crashCluster(int ci) {
+  Cluster& c = cluster(ci);
   if (!c.alive) return;
   c.alive = false;
   // Node-down aborts every flow through the head; each abort callback lands
   // in resubmit() before we collect the rest below.
   platform_.crashHost(c.meta.head);
-  broker_.noteDown(name);
+  broker_.noteDown(c.meta.name);
   publishGis();
 
   std::vector<std::int64_t> affected;
   for (const auto& [id, a] : active_) {
-    if (a.cluster == name) affected.push_back(id);
+    if (a.cluster == ci) affected.push_back(id);
   }
+  std::sort(affected.begin(), affected.end());  // resubmit in job id order
   // Reset the queue/pool wholesale; resubmit() then treats each job as
   // already evicted.
   c.queue = BatchQueue(c.queue.options());
@@ -433,11 +447,11 @@ void GridEconomy::crashCluster(const std::string& name) {
   c.ps = PsPool{};
   c.ps.cores = c.meta.slots;
   c.ps.last_s = now_s();
-  for (std::int64_t id : affected) resubmit(id, "cluster_down");
+  for (std::int64_t id : affected) resubmit(id);
 }
 
-void GridEconomy::restartCluster(const std::string& name) {
-  Cluster& c = clusters_.at(name);
+void GridEconomy::restartCluster(int ci) {
+  Cluster& c = cluster(ci);
   if (c.alive) return;
   c.alive = true;
   platform_.restartHost(c.meta.head);
@@ -464,6 +478,10 @@ EconReport GridEconomy::report() {
     ++n;
   }
   rpt_.fairness = (n > 0 && sxx > 0) ? (sx * sx) / (static_cast<double>(n) * sxx) : 1.0;
+  rpt_.per_cluster.clear();
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    if (completed_[i] > 0) rpt_.per_cluster[clusters_[i].meta.name] = completed_[i];
+  }
   return rpt_;
 }
 

@@ -19,15 +19,24 @@
 // requeues the cluster's in-flight jobs through the broker with doubling
 // backoff — the same resubmission discipline the launcher uses.
 //
-// Determinism: all state lives in ordered containers, the workload is a pure
-// function of its seed, fairness is computed from order-independent per-user
-// sums, and the report renders through obs::formatDouble — so two runs with
-// the same spec produce byte-identical reports.
+// Clusters live in one vector in name order, and the per-job path (in-flight
+// jobs, finish and PS-finish events, per-cluster completion counts) holds
+// its dense index; names appear only where the economy meets the GIS, the
+// broker's view and the report. The broker's transfer estimator resolves a
+// job's data site to a head node through a site-indexed table built once.
+//
+// Determinism: every walk over state is in a fixed order (in-flight jobs are
+// hashed by id, and the crash path sorts the ids it resubmits), the
+// workload is a pure function of its seed, fairness is computed from
+// order-independent per-user sums, and the report renders through
+// obs::formatDouble — so two runs with the same spec produce byte-identical
+// reports.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/microgrid_platform.h"
@@ -151,7 +160,7 @@ class GridEconomy {
   /// A job somewhere between placement and completion.
   struct Active {
     Job job;
-    std::string cluster;
+    int cluster = -1;      // index into clusters_
     double runtime_c = 0;  // runtime scaled to the cluster's core speed
     double start_s = -1;   // dispatch time; < 0 while queued/transferring
     int resubmits = 0;
@@ -160,20 +169,29 @@ class GridEconomy {
     sim::EventId finish_event = 0;  // space-shared finish (0 = none/PS)
   };
 
+  /// Index of the named cluster in clusters_; -1 when there is none.
+  int clusterIndex(const std::string& name) const;
+  /// Like clusterIndex, but an unknown name is a ConfigError.
+  int requireCluster(const std::string& name) const;
+  Cluster& cluster(int ci) { return clusters_[static_cast<std::size_t>(ci)]; }
+  /// Head node of the first cluster (name order) at a data site; kNoNode
+  /// when no cluster is there.
+  net::NodeId siteHead(int site) const;
+
   void scheduleNextArrival();
   void handleArrival(Job job, int resubmits);
   void placeJob(Job job, int resubmits);
-  void startTransfer(const Job& job, Cluster& c, int resubmits);
-  void enqueue(const Job& job, Cluster& c, int resubmits);
-  void pump(Cluster& c);
-  void startJob(Cluster& c, const StartedJob& s);
-  void finishJob(Cluster& c, std::int64_t id);
-  void armPsEvent(Cluster& c);
-  void resubmit(std::int64_t id, const std::string& reason);
+  void startTransfer(const Job& job, int ci);
+  void enqueue(const Job& job, int ci);
+  void pump(int ci);
+  void startJob(int ci, const StartedJob& s);
+  void finishJob(int ci, std::int64_t id);
+  void armPsEvent(int ci);
+  void resubmit(std::int64_t id);
   void publishGis();
   void refreshLoop();
-  void crashCluster(const std::string& name);
-  void restartCluster(const std::string& name);
+  void crashCluster(int ci);
+  void restartCluster(int ci);
 
   double now_s() const { return platform_.virtualNow(); }
   sim::SimTime kernelAt(double virtual_s) const {
@@ -187,8 +205,9 @@ class GridEconomy {
   Broker broker_;
   gis::Directory gis_;
   gis::Dn gis_base_;
-  std::map<std::string, Cluster> clusters_;  // name-ordered
-  std::map<std::int64_t, Active> active_;    // in-flight jobs by id
+  std::vector<Cluster> clusters_;           // name-ordered, never resized
+  std::vector<net::NodeId> site_head_;      // data-site index -> siteHead()
+  std::unordered_map<std::int64_t, Active> active_;  // in-flight jobs by id
   bool armed_ = false;
   bool have_next_ = false;
   Job next_job_;
@@ -199,6 +218,7 @@ class GridEconomy {
   double wait_sum_ = 0;
   std::vector<double> user_slowdown_sum_;
   std::vector<std::int32_t> user_jobs_;
+  std::vector<std::int64_t> completed_;  // per cluster index
 
   obs::Counter& c_submitted_;
   obs::Counter& c_completed_;

@@ -190,6 +190,7 @@ void Explorer::runSchedule(const std::vector<fault::FaultEvent>& firing,
       " digest=" + hex64(final_digest));
   if (!out.violation_found) {
     out.violation_found = true;
+    out.first_invariant = vs.front().invariant;
     out.first_violation = vs.front().invariant + ": " + vs.front().detail;
     out.violating_plan = plan;
   }
@@ -253,24 +254,28 @@ ExploreResult Explorer::explore() {
   std::vector<bool> present(candidates_.size(), false);
   assignTimes(0, chosen, present, out);
   if (out.violation_found && opts_.minimize) {
-    out.minimal_plan = minimize(out.violating_plan);
+    out.minimal_plan = minimize(out.violating_plan, out.first_invariant);
   }
   return out;
 }
 
-bool Explorer::violates(const fault::FaultPlan& plan) {
+bool Explorer::violates(const fault::FaultPlan& plan, const std::string& invariant) {
   try {
     const std::unique_ptr<ScenarioRun> run = factory_(plan);
     run->runToEnd();
-    return !checkInvariants(*run).empty();
+    const std::vector<Violation> vs = checkInvariants(*run);
+    return std::any_of(vs.begin(), vs.end(),
+                       [&invariant](const Violation& v) { return v.invariant == invariant; });
   } catch (const mg::Error&) {
     return false;  // an invalid trimmed plan cannot reproduce the bug
   }
 }
 
-fault::FaultPlan Explorer::minimize(const fault::FaultPlan& bad) {
+fault::FaultPlan Explorer::minimize(const fault::FaultPlan& bad, const std::string& invariant) {
   // Greedy delta-debugging: repeatedly drop any event whose removal keeps
-  // the violation alive, until no single removal does.
+  // the reported invariant violated, until no single removal does. Another
+  // invariant's violation does not count: the minimal plan must reproduce
+  // the bug that was reported, not a different one.
   std::vector<fault::FaultEvent> events = bad.events();
   bool changed = true;
   while (changed && events.size() > 1) {
@@ -280,7 +285,7 @@ fault::FaultPlan Explorer::minimize(const fault::FaultPlan& bad) {
       trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
       fault::FaultPlan p;
       for (const auto& ev : trial) p.add(ev);
-      if (violates(p)) {
+      if (violates(p, invariant)) {
         events = std::move(trial);
         changed = true;
       }

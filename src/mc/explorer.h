@@ -74,9 +74,10 @@ struct ExploreResult {
   /// Byte-identical across runs — the explorer's own determinism gate.
   std::vector<std::string> branch_log;
   bool violation_found = false;
+  std::string first_invariant;      // invariant name of the first hit
   std::string first_violation;      // "invariant: detail" of the first hit
   fault::FaultPlan violating_plan;  // the full first violating schedule
-  fault::FaultPlan minimal_plan;    // its delta-debugged reproduction
+  fault::FaultPlan minimal_plan;    // its delta-debugged reproduction (same invariant)
   std::string renderStats() const;
 };
 
@@ -129,8 +130,9 @@ class Explorer {
                        std::map<double, std::vector<int>>::const_iterator it,
                        std::vector<fault::FaultEvent>& firing, ExploreResult& out);
   void runSchedule(const std::vector<fault::FaultEvent>& firing, ExploreResult& out);
-  bool violates(const fault::FaultPlan& plan);
-  fault::FaultPlan minimize(const fault::FaultPlan& bad);
+  /// True when `plan` replays to a violation of `invariant`.
+  bool violates(const fault::FaultPlan& plan, const std::string& invariant);
+  fault::FaultPlan minimize(const fault::FaultPlan& bad, const std::string& invariant);
   fault::FaultPlan planFor(const std::vector<fault::FaultEvent>& events) const;
 
   ScenarioFactory factory_;

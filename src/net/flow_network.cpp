@@ -64,15 +64,14 @@ sim::SimTime FlowEngine::estimate(NodeId src, NodeId dst, std::int64_t payload_b
   if (src < 0 || src >= topo.nodeCount() || dst < 0 || dst >= topo.nodeCount()) {
     throw UsageError("flow endpoint out of range");
   }
-  const std::vector<LinkId> path = model_.routing().path(src, dst);
-  if (path.empty()) throw ConfigError("no route between nodes");
   sim::SimTime latency = 0;
   double bottleneck = std::numeric_limits<double>::infinity();
-  for (LinkId lid : path) {
+  const bool routed = model_.routing().walk(src, dst, [&](LinkId lid, NodeId) {
     const Link& l = topo.link(lid);
     latency += l.latency;
     bottleneck = std::min(bottleneck, l.bandwidth_bps);
-  }
+  });
+  if (!routed) throw ConfigError("no route between nodes");
   if (bottleneck <= 0.0) throw ConfigError("route has zero capacity (degraded link)");
   const double wire_bits = static_cast<double>(payload_bytes) * opts_.byte_overhead * 8.0;
   return opts_.per_message_overhead + latency + sim::fromSeconds(wire_bits / bottleneck);
@@ -108,26 +107,28 @@ FlowId FlowEngine::startBits(NodeId src, NodeId dst, double wire_bits,
     return kNoFlow;
   }
 
-  const std::vector<LinkId> path = model_.routing().path(src, dst);
-  if (path.empty()) throw ConfigError("no route between nodes");
-
+  // Two walks of the route: one to size the flow's vectors exactly, one to
+  // fill them.
+  const RoutingTable& routes = model_.routing();
+  std::size_t hops = 0;
+  if (!routes.walk(src, dst, [&hops](LinkId, NodeId) { ++hops; })) {
+    throw ConfigError("no route between nodes");
+  }
   Flow f;
   f.src = src;
   f.dst = dst;
-  f.on_complete = std::move(on_complete);
-  f.on_abort = std::move(on_abort);
-  f.dlinks.reserve(path.size());
-  f.nodes.reserve(path.size() + 1);
-  NodeId at = src;
-  f.nodes.push_back(at);
-  for (LinkId lid : path) {
+  f.dlinks.reserve(hops);
+  f.nodes.reserve(hops + 1);
+  f.nodes.push_back(src);
+  routes.walk(src, dst, [&](LinkId lid, NodeId from) {
     const Link& l = topo.link(lid);
-    const int dir = (at == l.a) ? 0 : 1;
+    const int dir = (from == l.a) ? 0 : 1;
     f.dlinks.push_back(static_cast<std::uint32_t>(lid) * 2 + static_cast<std::uint32_t>(dir));
     f.latency += l.latency;
-    at = topo.peer(lid, at);
-    f.nodes.push_back(at);
-  }
+    f.nodes.push_back(topo.peer(lid, from));
+  });
+  f.on_complete = std::move(on_complete);
+  f.on_abort = std::move(on_abort);
 
   if (wire_bits <= 0.0) {
     // Zero-length payloads (EOF markers, bare signals) ride the latency +

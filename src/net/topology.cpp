@@ -172,35 +172,22 @@ LinkId RoutingTable::nextLink(NodeId from, NodeId dst) const {
 
 std::vector<LinkId> RoutingTable::path(NodeId src, NodeId dst) const {
   std::vector<LinkId> out;
-  NodeId at = src;
-  while (at != dst) {
-    LinkId lid = nextLink(at, dst);
-    if (lid == kNoLink) return {};
-    out.push_back(lid);
-    at = topo_->peer(lid, at);
-    if (out.size() > static_cast<size_t>(n_)) {
-      throw UsageError("routing loop detected");  // cannot happen with Dijkstra next-hops
-    }
-  }
+  if (!walk(src, dst, [&out](LinkId lid, NodeId) { out.push_back(lid); })) return {};
   return out;
 }
 
 sim::SimTime RoutingTable::pathLatency(const Topology& topo, NodeId src, NodeId dst) const {
-  if (src == dst) return 0;
-  auto p = path(src, dst);
-  if (p.empty()) return -1;
   sim::SimTime total = 0;
-  for (LinkId lid : p) total += topo.link(lid).latency;
+  if (!walk(src, dst, [&](LinkId lid, NodeId) { total += topo.link(lid).latency; })) return -1;
   return total;
 }
 
 double RoutingTable::bottleneckBandwidth(const Topology& topo, NodeId src, NodeId dst) const {
   if (src == dst) return 0;
-  auto p = path(src, dst);
-  if (p.empty()) return 0;
   double bw = std::numeric_limits<double>::infinity();
-  for (LinkId lid : p) bw = std::min(bw, topo.link(lid).bandwidth_bps);
-  return bw;
+  const bool routed =
+      walk(src, dst, [&](LinkId lid, NodeId) { bw = std::min(bw, topo.link(lid).bandwidth_bps); });
+  return routed ? bw : 0;
 }
 
 }  // namespace mg::net

@@ -16,6 +16,7 @@
 
 #include "sim/time.h"
 #include "util/config.h"
+#include "util/error.h"
 
 namespace mg::net {
 
@@ -116,6 +117,28 @@ class RoutingTable {
 
   /// The link to take from `from` toward `dst`; kNoLink if unreachable.
   LinkId nextLink(NodeId from, NodeId dst) const;
+
+  /// Walk the route from src to dst, calling hop(link, from) for each link
+  /// in order, `from` being the node the link is taken from. Returns false
+  /// if dst is unreachable, true (with no call) when src == dst. Allocates
+  /// nothing; every route reader (path, pathLatency, bottleneckBandwidth,
+  /// the flow engine's estimate and start) is one of these walks.
+  template <class Hop>
+  bool walk(NodeId src, NodeId dst, Hop&& hop) const {
+    if (src == dst) return true;
+    nextLink(src, dst);  // range-checks both endpoints
+    const std::vector<LinkId>& next = columnFor(dst).next;
+    int hops = 0;
+    for (NodeId at = src; at != dst; ++hops) {
+      const LinkId lid = next[static_cast<size_t>(at)];
+      if (lid == kNoLink) return false;
+      // Cannot happen with Dijkstra next-hops.
+      if (hops == n_) throw UsageError("routing loop detected");
+      hop(lid, at);
+      at = topo_->peer(lid, at);
+    }
+    return true;
+  }
 
   /// Full path (sequence of links) from src to dst; empty if unreachable or
   /// src == dst.

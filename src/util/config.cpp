@@ -1,5 +1,6 @@
 #include "util/config.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -29,8 +30,15 @@ const std::string& ConfigSection::getString(std::string_view key) const {
 
 double ConfigSection::getDouble(std::string_view key) const {
   const std::string& s = getString(key);
-  if (const std::optional<double> v = parseDouble(s)) return *v;
-  throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not a number");
+  const std::optional<double> v = parseDouble(s);
+  if (!v) throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not a number");
+  // Rejected here, once for every INI reader: range checks written as
+  // `x < 0` let NaN through, and a non-finite rate or multiplier wedges the
+  // run long after parsing.
+  if (!std::isfinite(*v)) {
+    throw ConfigError("key '" + std::string(key) + "' = '" + s + "' is not a finite number");
+  }
+  return *v;
 }
 
 std::int64_t ConfigSection::getInt(std::string_view key) const {

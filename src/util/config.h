@@ -38,7 +38,8 @@ class ConfigSection {
   bool has(std::string_view key) const;
 
   /// Required accessors throw ConfigError when the key is missing or the
-  /// value does not parse.
+  /// value does not parse. getDouble also rejects nan and inf, naming the
+  /// key.
   const std::string& getString(std::string_view key) const;
   double getDouble(std::string_view key) const;
   std::int64_t getInt(std::string_view key) const;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -178,6 +182,191 @@ TEST(BatchQueue, PolicyNamesParse) {
   EXPECT_THROW(econ::parseQueuePolicy("sjf"), mg::ConfigError);
 }
 
+namespace {
+
+/// Brute-force reference for BatchQueue: the same three policies written
+/// the slow, obvious way. EASY's shadow walk re-sorts every running job by
+/// (expected end, id) on each dispatch, where BatchQueue keeps them ordered.
+class RefQueue {
+ public:
+  explicit RefQueue(const econ::BatchQueue::Options& opt) : opt_(opt) {}
+
+  void submit(const econ::QueuedJob& job) { queue_.push_back(job); }
+  bool cancel(std::int64_t id) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->id != id) continue;
+      queue_.erase(it);
+      return true;
+    }
+    return false;
+  }
+  bool finish(std::int64_t id) {
+    auto it = running_.find(id);
+    if (it == running_.end()) return false;
+    used_ -= it->second.cpus;
+    running_.erase(it);
+    return true;
+  }
+  std::vector<econ::StartedJob> dispatch(double now) {
+    std::vector<econ::StartedJob> started;
+    const int cap = opt_.policy == econ::QueuePolicy::TimeShared ? opt_.slots * opt_.oversubscribe
+                                                                 : opt_.slots;
+    while (!queue_.empty() && used_ + queue_.front().cpus <= cap) {
+      start(queue_.front(), now);
+      started.push_back({queue_.front(), false});
+      queue_.erase(queue_.begin());
+    }
+    if (queue_.empty() || opt_.policy != econ::QueuePolicy::EasyBackfill) return started;
+
+    struct End {
+      double end_s;
+      std::int64_t id;
+      int cpus;
+    };
+    std::vector<End> by_end;
+    for (const auto& [id, r] : running_) by_end.push_back({r.end_s, id, r.cpus});
+    std::sort(by_end.begin(), by_end.end(), [](const End& a, const End& b) {
+      return a.end_s != b.end_s ? a.end_s < b.end_s : a.id < b.id;
+    });
+    const econ::QueuedJob head = queue_.front();
+    double shadow = now;
+    int avail = opt_.slots - used_;
+    for (std::size_t i = 0; i < by_end.size() && avail < head.cpus; ++i) {
+      avail += by_end[i].cpus;
+      shadow = by_end[i].end_s;
+    }
+    const int extra = std::max(0, avail - head.cpus);
+    int scanned = 0;
+    for (std::size_t i = 1;
+         i < queue_.size() && scanned < opt_.backfill_window && used_ < opt_.slots;) {
+      ++scanned;
+      const econ::QueuedJob cand = queue_[i];
+      if (cand.cpus <= opt_.slots - used_ &&
+          (now + cand.est_runtime_s <= shadow || cand.cpus <= extra)) {
+        start(cand, now);
+        started.push_back({cand, true});
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    return started;
+  }
+
+  std::vector<std::int64_t> runningIds() const {
+    std::vector<std::int64_t> out;
+    for (const auto& [id, r] : running_) out.push_back(id);
+    return out;
+  }
+  std::vector<std::int64_t> queuedIds() const {
+    std::vector<std::int64_t> out;
+    for (const auto& q : queue_) out.push_back(q.id);
+    return out;
+  }
+  int freeSlots() const { return opt_.slots - used_; }
+
+ private:
+  struct Run {
+    int cpus;
+    double end_s;
+  };
+  void start(const econ::QueuedJob& job, double now) {
+    used_ += job.cpus;
+    running_[job.id] = Run{job.cpus, now + job.est_runtime_s};
+  }
+
+  econ::BatchQueue::Options opt_;
+  int used_ = 0;
+  std::vector<econ::QueuedJob> queue_;
+  std::map<std::int64_t, Run> running_;
+};
+
+struct Diff {
+  std::int64_t starts = 0, backfills = 0, end_ties = 0;
+};
+
+/// One seeded submit/finish/cancel/reset stream against both queues; every
+/// dispatch must start the same jobs, in the same order, flagged alike.
+Diff runDifferential(econ::QueuePolicy policy, std::uint64_t seed) {
+  econ::BatchQueue::Options opt;
+  opt.slots = 16;
+  opt.policy = policy;
+  opt.backfill_window = 6;
+  opt.oversubscribe = 2;
+  econ::BatchQueue q(opt);
+  RefQueue ref(opt);
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](std::uint64_t n) { return static_cast<std::size_t>(rng() % n); };
+  Diff d;
+  double now = 0;
+  std::int64_t next_id = 1;
+  std::map<double, int> ends_at;  // started jobs per expected end: tie census
+  for (int step = 0; step < 3000; ++step) {
+    now += static_cast<double>(pick(3));  // integer clock: many equal starts
+    const std::size_t action = pick(100);
+    if (action < 55) {
+      // Estimates on a 5 s grid, so equal expected ends are common.
+      const int cpus = pick(10) == 0 ? opt.slots : 1 + static_cast<int>(pick(6));
+      const econ::QueuedJob job{next_id++, std::min(cpus, q.maxWidth()),
+                                5.0 * static_cast<double>(1 + pick(8)), now};
+      q.submit(job, now);
+      ref.submit(job);
+    } else if (action < 85) {
+      const auto running = ref.runningIds();
+      if (!running.empty()) {
+        const std::int64_t id = running[pick(running.size())];
+        EXPECT_TRUE(q.finish(id));
+        EXPECT_TRUE(ref.finish(id));
+      }
+    } else if (action < 99) {
+      const auto queued = ref.queuedIds();
+      const std::int64_t id = queued.empty() ? next_id + 7 : queued[pick(queued.size())];
+      EXPECT_EQ(q.cancel(id), ref.cancel(id));
+    } else {
+      // Wholesale reset, as GridEconomy::crashCluster does.
+      q = econ::BatchQueue(q.options());
+      ref = RefQueue(opt);
+    }
+    const auto got = q.dispatch(now);
+    const auto want = ref.dispatch(now);
+    EXPECT_EQ(ids(got), ids(want)) << "seed " << seed << " step " << step;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].backfilled, want[i].backfilled) << "seed " << seed << " step " << step;
+      if (++ends_at[now + got[i].job.est_runtime_s] == 2) ++d.end_ties;
+      d.backfills += got[i].backfilled ? 1 : 0;
+    }
+    d.starts += static_cast<std::int64_t>(got.size());
+    EXPECT_EQ(q.freeSlots(), ref.freeSlots());
+    EXPECT_EQ(q.depth(), static_cast<int>(ref.queuedIds().size()));
+    EXPECT_EQ(q.runningCount(), static_cast<int>(ref.runningIds().size()));
+    if (::testing::Test::HasFailure()) break;
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(BatchQueue, DispatchMatchesBruteForceReference) {
+  for (econ::QueuePolicy policy : {econ::QueuePolicy::Fcfs, econ::QueuePolicy::EasyBackfill,
+                                   econ::QueuePolicy::TimeShared}) {
+    Diff total;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const Diff d = runDifferential(policy, seed);
+      total.starts += d.starts;
+      total.backfills += d.backfills;
+      total.end_ties += d.end_ties;
+    }
+    SCOPED_TRACE(econ::queuePolicyName(policy));
+    EXPECT_GT(total.starts, 1000);
+    EXPECT_GT(total.end_ties, 100);  // the (end, id) tie rule is exercised
+    if (policy == econ::QueuePolicy::EasyBackfill) {
+      EXPECT_GT(total.backfills, 100);
+    } else {
+      EXPECT_EQ(total.backfills, 0);
+    }
+  }
+}
+
 // ----------------------------------------------------------------- broker --
 
 namespace {
@@ -337,6 +526,62 @@ TEST(Economy, ClusterCrashResubmitsInFlightJobs) {
   // forced at least one broker-level resubmission.
   EXPECT_EQ(r.completed + r.failed + r.rejected_budget + r.rejected_unplaceable, r.submitted);
   EXPECT_GT(r.resubmits, 0);
+}
+
+TEST(Economy, CrashResubmitsInFlightJobsInIdOrder) {
+  // Every job carries input data, so the broker prices a transfer for each
+  // placement on a cluster away from the data. A recording estimator sees
+  // the crash's resubmissions as one burst at crash + backoff; their input
+  // sizes map back to job ids, which must rise. Transfers are off, so no
+  // flow abort resubmits a job ahead of the crash's own id-ordered sweep.
+  econ::WorkloadSpec w = smallWorkload(400);
+  w.data_fraction = 1.0;
+  w.rate = 0.5;
+  w.runtime_mu = 4.0;  // ~55 s median: queues are deep when c0 crashes
+  std::map<std::int64_t, std::int64_t> id_by_bytes;
+  {
+    econ::WorkloadGenerator gen(w, 2);
+    econ::Job j;
+    while (gen.next(j)) id_by_bytes[j.input_bytes] = j.id;
+  }
+  ASSERT_EQ(id_by_bytes.size(), 400u);  // input sizes identify jobs
+
+  constexpr double kCrashAt = 120;
+  auto run = [&](std::vector<std::int64_t>& burst) {
+    const econ::EconGrid grid = econ::makeEconGrid(smallGrid());
+    core::MicroGridOptions mopts;
+    mopts.netmodel = net::NetModelKind::Flow;
+    mopts.rate_override = 1.0;
+    core::MicroGridPlatform platform(grid.grid, mopts);
+    econ::EconOptions eopts;
+    eopts.workload = w;
+    eopts.flow_transfers = false;
+    econ::GridEconomy economy(platform, grid, eopts);
+    const double resubmit_at = kCrashAt + eopts.resubmit_backoff_s;
+    economy.broker().setTransferEstimator(
+        [&](int, const econ::ClusterView&, std::int64_t bytes) {
+          if (std::abs(platform.virtualNow() - resubmit_at) < 1e-6) {
+            burst.push_back(id_by_bytes.at(bytes));
+          }
+          return static_cast<double>(bytes) * 8.0 / 1e9;
+        });
+    economy.arm();
+    economy.scheduleCrash("c0", kCrashAt);
+    economy.scheduleRestart("c0", 400);
+    platform.run();
+    return economy.report();
+  };
+  std::vector<std::int64_t> burst_a, burst_b;
+  const econ::EconReport a = run(burst_a);
+  const econ::EconReport b = run(burst_b);
+  EXPECT_GE(burst_a.size(), 5u) << "too few resubmissions to show an order";
+  EXPECT_TRUE(std::adjacent_find(burst_a.begin(), burst_a.end(),
+                                 std::greater_equal<>()) == burst_a.end())
+      << "resubmissions out of id order";
+  EXPECT_GE(a.resubmits, static_cast<std::int64_t>(burst_a.size()));
+  EXPECT_EQ(a.completed + a.failed + a.rejected_budget + a.rejected_unplaceable, a.submitted);
+  EXPECT_EQ(burst_a, burst_b);
+  EXPECT_EQ(a.render(), b.render());
 }
 
 namespace {

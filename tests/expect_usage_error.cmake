@@ -1,6 +1,6 @@
 # Runs CMD with ARGS ('|'-separated) and passes only when it exits 2 with a
 # message on stderr naming FLAG: the contract for a rejected command-line
-# value. Usage:
+# or INI value. Usage:
 #   cmake -DCMD=<exe> -DARGS=--flag|value -DFLAG=--flag -P expect_usage_error.cmake
 string(REPLACE "|" ";" args "${ARGS}")
 execute_process(COMMAND "${CMD}" ${args}

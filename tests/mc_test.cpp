@@ -246,6 +246,41 @@ TEST(McExplorer, RejectsNegativeCandidateTimes) {
   EXPECT_THROW(mc::Explorer(mc::transferScenario(), cands), Error);
 }
 
+TEST(McExplorer, MinimizeKeepsTheReportedInvariant) {
+  // Two bystander link faults, each of which the factory turns into a
+  // different invariant violation. The first schedule (both present)
+  // reports workload.lost, which checkInvariants lists first. Dropping the
+  // later fault leaves only workload.error: still a violation, but not the
+  // reported one, so the minimal plan must keep "lose-work" instead.
+  const mc::ScenarioFactory base = mc::transferScenario();
+  const mc::ScenarioFactory factory = [base](const fault::FaultPlan& plan) {
+    auto run = base(plan);
+    for (const fault::FaultEvent& ev : plan.events()) {
+      if (ev.name == "lose-work") run->units_expected = 2;
+      if (ev.name == "report-error") run->workload_error = [] { return std::string("probe"); };
+    }
+    return run;
+  };
+  std::vector<mc::CandidateFault> cands;
+  for (auto [name, at] : {std::pair<const char*, double>{"report-error", 0.4},
+                          std::pair<const char*, double>{"lose-work", 0.5}}) {
+    mc::CandidateFault c;
+    c.event = mgtest::simpleEvent(fault::FaultKind::LinkDown, "eth3", at, 0.01);
+    c.event.name = name;
+    c.times = {at};
+    cands.push_back(c);
+  }
+  mc::ExploreOptions opts;
+  opts.stop_at_first_violation = true;
+  mc::Explorer ex(factory, cands, opts);
+  const mc::ExploreResult r = ex.explore();
+  ASSERT_TRUE(r.violation_found);
+  EXPECT_EQ(r.first_invariant, "workload.lost");
+  EXPECT_EQ(r.violating_plan.size(), 2u);
+  ASSERT_EQ(r.minimal_plan.size(), 1u);
+  EXPECT_EQ(r.minimal_plan.events()[0].name, "lose-work");
+}
+
 // --------------------------------------------------------------- spec dialect
 
 TEST(McExplorerSpec, ParsesOptionsAndCandidates) {

@@ -990,6 +990,54 @@ TEST(FlowNetwork, NoRouteThrows) {
   EXPECT_TRUE(threw);
 }
 
+TEST(FlowNetwork, RouteErrorsSurviveTheHopWalk) {
+  // estimate() and start() walk the route hop by hop without building a
+  // path. Across a downed link (first or second hop, either direction), or
+  // a link degraded to zero bandwidth (routing steers around it, and here
+  // nothing is left), both must still throw ConfigError("no route between
+  // nodes"): the economy's transfer estimator prices either as an unusable
+  // cluster.
+  Simulator sim;
+  FlowNetwork fn(sim, lineTopo(), {});
+  FlowEngine& eng = fn.engine();
+  auto noRoute = [](auto&& call) {
+    try {
+      call();
+    } catch (const mg::ConfigError& e) {
+      return std::string(e.what()).find("no route between nodes") != std::string::npos;
+    }
+    return false;
+  };
+  auto expectNoRoute = [&](const char* what) {
+    for (auto [src, dst] : {std::pair<NodeId, NodeId>{0, 2}, std::pair<NodeId, NodeId>{2, 0}}) {
+      EXPECT_TRUE(noRoute([&] { eng.estimate(src, dst, 1000); })) << what;
+      EXPECT_TRUE(noRoute([&] { eng.start(src, dst, 1000, {}, {}); })) << what;
+    }
+    EXPECT_EQ(fn.routing().pathLatency(fn.topology(), 0, 2), -1) << what;
+    EXPECT_NO_THROW(eng.estimate(2, 2, 1000)) << what;  // loopback needs no route
+  };
+  sim.scheduleAt(0, [&] {
+    const SimTime healthy = eng.estimate(0, 2, 1000);
+    fn.setLinkUp(0, false);
+    expectNoRoute("first hop down");
+    fn.setLinkUp(0, true);
+    fn.setLinkUp(1, false);
+    expectNoRoute("second hop down");
+    fn.setLinkUp(1, true);
+    LinkParams p = fn.linkParams(1);
+    const double bw = p.bandwidth_bps;
+    p.bandwidth_bps = 0;
+    fn.applyLinkParams(1, p);
+    expectNoRoute("second hop at zero bandwidth");
+    p.bandwidth_bps = bw;
+    fn.applyLinkParams(1, p);
+    EXPECT_EQ(eng.estimate(0, 2, 1000), healthy);
+  });
+  sim.run();
+  EXPECT_EQ(eng.activeFlows(), 0);
+  EXPECT_TRUE(eng.indexConsistent());
+}
+
 TEST(FlowNetwork, SameNodeTransferIsJustOverhead) {
   Simulator sim;
   FlowNetworkOptions opts;

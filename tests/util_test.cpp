@@ -540,6 +540,24 @@ TEST(Config, MissingKeyAndBadTypesThrow) {
   EXPECT_THROW(s.getBool("n"), mg::ConfigError);
 }
 
+TEST(Config, NonFiniteDoublesThrowNamingTheKey) {
+  auto cfg = mu::Config::parse(
+      "[h x]\na = nan\nb = inf\nc = -inf\nd = NaN\ne = 1e400\nf = 2.5\n");
+  const auto& s = cfg.section("h", "x");
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    try {
+      s.getDouble(key);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const mg::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(s.getDouble(key, 1.0), mg::ConfigError) << key;
+  }
+  EXPECT_DOUBLE_EQ(s.getDouble("f"), 2.5);
+  EXPECT_DOUBLE_EQ(s.getDouble("absent", 3.0), 3.0);
+}
+
 TEST(Config, SectionsOfTypePreservesOrder) {
   auto cfg = mu::Config::parse("[host a]\nx=1\n[link l]\nx=1\n[host b]\nx=2\n");
   auto hosts = cfg.sectionsOfType("host");
